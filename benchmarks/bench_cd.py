@@ -1,13 +1,15 @@
-"""Timing comparison for the coordinate descent kernel backends.
+"""Timing of one 20-lambda Lasso path: warm-started coordinate descent
+against the exact homotopy path (lasso_path).
 
-Runs the compiled extension and the NumPy fallback on identical weighted-L1
-problems, checks that the fits agree, and prints per-size timings with the
-speedup ratio. Problems are standardized Gaussian designs with a sparse
-ground truth, solved at a fraction of the critical threshold so the active
-set stays interesting.
+Each problem has the shape of one cross-validation training fold of a
+benchmark workload: 160x200 (the endogeneity experiment, n = d = 200 with
+5 folds) and 320x66 (screen_fit: 400 rows screened down to 66 columns).
+The grid runs from lam_max to 0.01 * lam_max, as in those workloads. The
+script checks that both paths agree, then prints per-shape timings with
+the coordinate descent sweep count and the path's kink and polish counts.
 
 Usage:
-    python benchmarks/bench_cd.py --sizes 200x500,500x2000 --repeats 5
+    python benchmarks/bench_cd.py --sizes 160x200,320x66 --repeats 5
 """
 
 import argparse
@@ -16,37 +18,40 @@ import time
 
 import numpy as np
 
-from hdlab import LinearModelSpec, gen_linear, standardize
-from hdlab.kernels import _cd_py
+from hdlab import LinearModelSpec, coord_descent_l1, gen_linear, lasso_path, standardize
+from hdlab.kernels import BACKEND
 
-try:
-    from hdlab.kernels import _cd_cy
-except ImportError:
-    _cd_cy = None
+SIGNAL = (3.0, -2.5, 2.0, -1.5, 1.25, -1.0)
+GRID_SIZE = 20
 
 
 def build_problem(n, d, seed):
-    beta = {j: 2.0 * (-1.0) ** j for j in range(0, min(d, 10))}
-    data = standardize(gen_linear(LinearModelSpec(n=n, d=d, beta=beta, noise_sd=0.5), seed))
-    X = np.asfortranarray(data.X)
-    y = data.y
-    lam = 0.2 * float(np.max(np.abs(X.T @ y))) / n
-    weights = np.full(d, lam)
-    return X, y, weights
+    beta = {j: SIGNAL[j] for j in range(min(d, len(SIGNAL)))}
+    data = standardize(gen_linear(LinearModelSpec(n=n, d=d, beta=beta, noise_sd=1.0), seed))
+    lam_max = float(np.max(np.abs(data.X.T @ data.y))) / n
+    return data, np.geomspace(lam_max, 0.01 * lam_max, GRID_SIZE)
 
 
-def time_backend(impl, X, y, weights, tol, max_iter, repeats):
-    best = float("inf")
+def cd_path(data, grid, tol):
+    betas = np.empty((grid.size, data.d))
+    sweeps = 0
     beta = None
+    for i, lam in enumerate(grid):
+        fit = coord_descent_l1(data, lam, beta_init=beta, tol=tol)
+        if not fit.converged:
+            raise RuntimeError("coordinate descent did not converge at lambda=%g" % lam)
+        beta = betas[i] = fit.beta_hat
+        sweeps += fit.iterations
+    return betas, sweeps
+
+
+def best_time(fn, repeats):
+    best = float("inf")
     for _ in range(repeats):
-        beta = np.zeros(X.shape[1])
         start = time.perf_counter()
-        iters, converged = impl.cd_weighted_l1(X, y, weights, beta, tol, max_iter)
-        elapsed = time.perf_counter() - start
-        if not converged:
-            raise RuntimeError("kernel did not converge in %d sweeps" % max_iter)
-        best = min(best, elapsed)
-    return best, iters, beta
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, out
 
 
 def parse_sizes(text):
@@ -59,39 +64,32 @@ def parse_sizes(text):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="200x500,500x2000,1000x5000",
+    parser.add_argument("--sizes", default="160x200,320x66",
                         help="comma list of NxD problem sizes")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repeats per size (best is reported)")
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--max-iter", type=int, default=20000)
+    parser.add_argument("--tol", type=float, default=1e-10,
+                        help="coordinate descent tolerance")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    if _cd_cy is None:
-        print("compiled kernel unavailable; timing the NumPy fallback only",
-              file=sys.stderr)
-
-    header = "%10s %10s %10s %12s %12s %9s" % (
-        "n", "d", "sweeps", "python_s", "cython_s", "speedup")
+    print("kernel backend: %s" % BACKEND)
+    header = "%6s %6s %8s %10s %7s %9s %10s %9s %10s %9s" % (
+        "n", "d", "sweeps", "cd_s", "kinks", "polished", "path_s", "speedup",
+        "max_gap", "max_kkt")
     print(header)
     print("-" * len(header))
     for n, d in parse_sizes(args.sizes):
-        X, y, weights = build_problem(n, d, args.seed)
-        t_py, iters, beta_py = time_backend(
-            _cd_py, X, y, weights, args.tol, args.max_iter, args.repeats)
-        if _cd_cy is None:
-            print("%10d %10d %10d %12.4f %12s %9s" % (n, d, iters, t_py, "-", "-"))
-            continue
-        t_cy, iters_cy, beta_cy = time_backend(
-            _cd_cy, X, y, weights, args.tol, args.max_iter, args.repeats)
-        gap = float(np.max(np.abs(beta_py - beta_cy)))
-        if gap > 1e-9:
-            raise RuntimeError("backends disagree by %.3e at n=%d d=%d" % (gap, n, d))
-        if iters != iters_cy:
-            raise RuntimeError("sweep counts differ: %d vs %d" % (iters, iters_cy))
-        print("%10d %10d %10d %12.4f %12.4f %8.1fx"
-              % (n, d, iters, t_py, t_cy, t_py / t_cy))
+        data, grid = build_problem(n, d, args.seed)
+        t_cd, (cd_betas, sweeps) = best_time(lambda: cd_path(data, grid, args.tol),
+                                             args.repeats)
+        t_path, path = best_time(lambda: lasso_path(data, grid), args.repeats)
+        gap = float(np.max(np.abs(cd_betas - path.betas)))
+        if gap > 1e-6:
+            raise RuntimeError("paths disagree by %.3e at n=%d d=%d" % (gap, n, d))
+        print("%6d %6d %8d %10.4f %7d %9d %10.4f %8.1fx %10.1e %9.1e"
+              % (n, d, sweeps, t_cd, path.kinks, path.polished, t_path, t_cd / t_path,
+                 gap, float(np.max(path.kkt_violation))))
     return 0
 
 

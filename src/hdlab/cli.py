@@ -119,13 +119,17 @@ def _fit_once(data, args, lam):
 
 
 def _cv_solver(args):
-    """Solver handle (train, lam, init) -> FitResult for cross_validate."""
+    """Solver handle (train, lam, init) -> FitResult for cross_validate.
+
+    None for cd: cross_validate then runs its exact Lasso path per fold,
+    which needs no tolerance.
+    """
     solver = args.solver
     tol = args.tol
+    if solver == "cd":
+        return None
 
     def handle(ds, lam, init):
-        if solver == "cd":
-            return coord_descent_l1(ds, lam, beta_init=init, **({"tol": tol} if tol else {}))
         if solver == "ista":
             return ista(ds, parse_penalty(args.penalty, lam, args.gamma),
                         **({"tol": tol} if tol else {}))
@@ -513,7 +517,10 @@ def build_parser():
                        choices=["cd", "ista", "lla", "dantzig", "l0"])
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--tol", type=float, default=None,
-                       help="solver tolerance (solver default when omitted)")
+                       help="solver tolerance (solver default when omitted); with "
+                            "--solver cd it applies to the final fit only, not to "
+                            "--lambda-grid cross-validation, which runs the exact "
+                            "Lasso path")
     p_fit.add_argument("--step", type=float, default=None,
                        help="ista step size (1/L when omitted)")
     p_fit.add_argument("--gamma-n", type=float, default=None,

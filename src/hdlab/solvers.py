@@ -28,6 +28,17 @@ from .simplex import linprog_simplex
 
 BEST_SUBSET_MAX_D = 15
 
+# lasso_path: the bound on every returned point's KKT violation, relative
+# to max(1, ||y||/sqrt(n)) (see lasso_path); the coordinate-descent
+# tolerance for polished points, and the rounds of sweeps between their
+# certificate checks; the smallest q / G_jj (see _homotopy) at which the
+# active Gram matrix still counts as nonsingular.
+PATH_KKT_TOL = 1e-9
+_POLISH_TOL = 1e-12
+_POLISH_SWEEPS = 100
+_POLISH_ROUNDS = 200
+_GRAM_PIVOT_FLOOR = 1e-14
+
 
 @dataclass
 class FitResult:
@@ -216,7 +227,7 @@ def ista(data, penalty, step=None, tol=1e-10, max_iter=5000):
     return _finish(data, beta, obj, it, converged, trace=trace)
 
 
-def lla(data, penalty, init=None, tol=1e-8, max_outer=20, inner_tol=1e-10,
+def lla(data, penalty, init=None, tol=1e-8, max_outer=100, inner_tol=1e-10,
         inner_max_iter=20000):
     """Local linear approximation for the folded-concave penalties.
 
@@ -389,31 +400,223 @@ def ols_refit(data, support):
     return _finish(data, beta, _quadratic_loss(data, beta), 1, True)
 
 
+@dataclass
+class LassoPath:
+    """Lasso solutions along a lambda grid, each with its certificate.
+
+    betas : (m, d) solution at each grid point, in the order the grid was
+        given.
+    kkt_violation : (m,) kkt_violation() of each row; every entry is at most
+        PATH_KKT_TOL * max(1, ||y||/sqrt(n)).
+    kinks : breakpoints the homotopy crossed (a column entering or leaving).
+    polished : distinct grid values solved by coordinate descent, either
+        because the homotopy point failed its certificate or because the
+        homotopy stopped above them.
+    """
+
+    betas: np.ndarray
+    kkt_violation: np.ndarray
+    kinks: int
+    polished: int
+
+
+def _check_grid(lambda_grid):
+    grid = np.asarray(lambda_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid < 0):
+        raise ConfigurationError("lambda_grid must be a nonempty vector of finite values >= 0")
+    return grid
+
+
+def _homotopy(X, y, levels):
+    """Follow the exact Lasso path down through the descending `levels`.
+
+    Between kinks the active coefficients are affine in lambda:
+    beta_A(lam) = u - lam * delta with G u = X_A'y/n and G delta = s_A, where
+    G = X_A'X_A/n is the active Gram matrix and s_A the active signs. The
+    correlations follow c(lam) = c0 + lam * a with c0 = X'(y - X_A u)/n and
+    a = X'X_A delta/n, so the next kink is the largest lambda below the
+    current one at which an inactive |c_j| reaches lam or an active
+    coefficient reaches zero. Only (A, s_A) is carried from kink to kink,
+    so round-off does not accumulate along the path.
+
+    Returns (betas, count, kinks, beta): rows [0, count) of betas hold the
+    path at levels[:count]. When count is short of levels.size the walk
+    stopped early, and beta is the solution where it stopped.
+    """
+    n, d = X.shape
+    betas = np.zeros((levels.size, d))
+    c = X.T @ y / n
+    lam = float(np.max(np.abs(c)))
+    count = int(np.count_nonzero(levels >= lam))
+    beta = np.zeros(d)
+    if count == levels.size:
+        return betas, count, 0, beta
+    j = int(np.argmax(np.abs(c)))
+    active = [j]
+    signs = [float(np.sign(c[j]))]
+    G = np.array([[X[:, j] @ X[:, j] / n]])
+    changed = j
+    kinks = 0
+    # Round-off at a tie can put an event just above the current lambda; up
+    # to this slack it is taken at the current lambda. The column that
+    # changed last is never a candidate, so a step cannot undo the previous
+    # one, and a missed event shows up in the certificate.
+    slack = 1e-12 * lam
+    max_kinks = 10 * min(n, d) + 10
+    while True:
+        XA = X[:, active]
+        k = len(active)
+        rhs = np.zeros((k, 3))
+        rhs[:, 0] = XA.T @ y / n
+        rhs[:, 1] = signs
+        rhs[-1, 2] = 1.0
+        try:
+            u, delta, last = np.linalg.solve(G, rhs).T
+        except np.linalg.LinAlgError:
+            break
+        # last = G^-1 e_k, so XA @ last / last[-1] is the part of the newest
+        # column outside the span of the other active columns; q is its
+        # squared norm over n. It is taken from that vector, not from
+        # 1/last[-1]: through G alone q drowns in round-off as it nears 0,
+        # and a near-duplicate column would enter with a huge coefficient.
+        # Each column is checked when it enters, so a small q means G has
+        # become numerically singular.
+        if changed == active[-1]:
+            outside = XA @ (last / last[-1])
+            if not outside @ outside >= _GRAM_PIVOT_FLOOR * n * G[-1, -1]:
+                break
+        c0, a = (X.T @ np.column_stack([y - XA @ u, XA @ delta])).T / n
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.vstack([c0 / (1.0 - a), -c0 / (1.0 + a)])
+            leave = u / delta
+        roots[~((roots > 0.0) & (roots <= lam + slack))] = -np.inf
+        join = roots.max(axis=0)
+        join[active] = -np.inf
+        join[changed] = -np.inf
+        leave[~((leave > 0.0) & (leave <= lam + slack))] = -np.inf
+        if changed in active:
+            leave[active.index(changed)] = -np.inf
+        j_in = int(np.argmax(join))
+        i_out = int(np.argmax(leave))
+        nxt = min(max(float(join[j_in]), float(leave[i_out]), 0.0), lam)
+
+        while count < levels.size and levels[count] >= nxt:
+            betas[count, active] = u - levels[count] * delta
+            count += 1
+        if count == levels.size:
+            break
+        beta = np.zeros(d)
+        beta[active] = u - nxt * delta
+        lam = nxt
+        if kinks == max_kinks:
+            break
+        if leave[i_out] >= join[j_in]:
+            changed = active.pop(i_out)
+            del signs[i_out]
+            G = np.delete(np.delete(G, i_out, axis=0), i_out, axis=1)
+        else:
+            if len(active) + 1 >= n:
+                break
+            grown = np.empty((k + 1, k + 1))
+            grown[:k, :k] = G
+            grown[:k, k] = grown[k, :k] = XA.T @ X[:, j_in] / n
+            grown[k, k] = X[:, j_in] @ X[:, j_in] / n
+            G = grown
+            active.append(j_in)
+            signs.append(float(np.sign(c0[j_in] + lam * a[j_in])))
+            changed = j_in
+        kinks += 1
+    return betas, count, kinks, beta
+
+
+def _polish(data, lam, beta, bound):
+    """Warm-started coordinate descent at lam until it converges or beta
+    meets the KKT bound, checked every _POLISH_SWEEPS sweeps.
+
+    On near-duplicate columns coordinate descent drifts for thousands of
+    sweeps along a direction in which the objective hardly changes, long
+    after the certificate holds; the check ends that drift.
+    """
+    for _ in range(_POLISH_ROUNDS):
+        fit = coord_descent_l1(data, lam, beta_init=beta, tol=_POLISH_TOL,
+                               max_iter=_POLISH_SWEEPS)
+        beta = fit.beta_hat
+        if fit.converged or kkt_violation(data, beta, lam) <= bound:
+            break
+    return beta
+
+
+def lasso_path(data, lambda_grid):
+    """Exact Lasso solutions on a lambda grid by the homotopy (LARS-Lasso).
+
+    Follows the solution of ||y - X b||^2/(2n) + lam ||b||_1 down from
+    lam_max = max|X'y|/n, re-solving the active system at every kink where a
+    column enters or leaves (Efron, Hastie, Johnstone & Tibshirani 2004;
+    Osborne, Presnell & Turlach 2000). Works from X and the active Gram
+    matrix only, so memory stays O(nd) on wide data.
+
+    Each grid point is certified by kkt_violation() against the bound
+    PATH_KKT_TOL * max(1, ||y||/sqrt(n)). Round-off in X'(y - X b)/n grows
+    with the size of y, so the bound follows the root mean square of y once
+    it exceeds 1 (a response in raw units, or with a large mean, would
+    otherwise fail at every point). A point above the bound is polished by
+    warm-started coordinate descent, which stops once it converges or the
+    point meets the bound (at most 20,000 sweeps). The homotopy stops when
+    the active set would reach n columns, when the active Gram matrix is
+    numerically singular, or after 10 * min(n, d) + 10 kinks; the grid
+    points below are then solved the same way, warm-started down the grid.
+    A polished point that still fails its certificate raises SolverError.
+    Duplicate and unsorted grids are accepted; rows follow the given order.
+    """
+    y = data.require_y()
+    _require_standardized(data)
+    grid = _check_grid(lambda_grid)
+    levels, where = np.unique(-grid, return_inverse=True)
+    levels = -levels
+    bound = PATH_KKT_TOL * max(1.0, float(np.linalg.norm(y)) / np.sqrt(data.n))
+    betas, count, kinks, beta = _homotopy(data.X, y, levels)
+    polished = 0
+    for i, lam in enumerate(levels):
+        if i < count:
+            if kkt_violation(data, betas[i], lam) <= bound:
+                continue
+            betas[i] = _polish(data, lam, betas[i], bound)
+        else:
+            beta = betas[i] = _polish(data, lam, beta, bound)
+        polished += 1
+    viol = np.array([kkt_violation(data, b, lam) for b, lam in zip(betas, levels)])
+    if np.any(viol > bound):
+        i = int(np.argmax(viol))
+        raise SolverError(
+            "lasso_path: KKT violation %.3e above %.3e at lambda=%.6g after "
+            "coordinate descent" % (viol[i], bound, levels[i])
+        )
+    return LassoPath(betas[where], viol[where], kinks, polished)
+
+
 def cross_validate(data, lambda_grid, folds, seed, solver=None):
     """K-fold cross-validation over a lambda grid.
 
     Folds come from a seeded permutation split (np.array_split order); each
     training fold is standardized internally and its column transform is
     applied to the held-out rows, so the solver's standardization contract
-    holds within every fold. The grid is traversed from largest to smallest
-    lambda with warm starts. Returns (lambda_star, cv_curve) where cv_curve
+    holds within every fold. Returns (lambda_star, cv_curve) where cv_curve
     is the pooled held-out mean squared error aligned with lambda_grid, and
     lambda_star is the largest lambda attaining the minimum.
 
-    The solver handle takes (train_dataset, lam, beta_init) and returns a
-    FitResult; the default is the Lasso coordinate descent.
+    With solver=None each fold runs one exact Lasso path (lasso_path) over
+    the whole grid. Otherwise `solver` is a handle taking (train_dataset,
+    lam, beta_init) and returning a FitResult; the grid is then traversed
+    from largest to smallest lambda with warm starts, and a fit that reports
+    converged=False raises SolverError.
     """
     y = data.require_y()
-    grid = np.asarray(lambda_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(grid < 0):
-        raise ConfigurationError("lambda_grid must be a nonempty vector of finite values >= 0")
+    grid = _check_grid(lambda_grid)
     if not isinstance(folds, (int, np.integer)) or folds < 2:
         raise ConfigurationError("folds must be an integer >= 2")
     if folds > data.n:
         raise ConfigurationError("more folds than rows")
-    if solver is None:
-        def solver(ds, lam, beta_init):
-            return coord_descent_l1(ds, lam, beta_init=beta_init)
 
     perm = np.random.default_rng(seed).permutation(data.n)
     chunks = np.array_split(perm, folds)
@@ -433,11 +636,21 @@ def cross_validate(data, lambda_grid, folds, seed, solver=None):
             )
         train = Dataset((Xtr - mu) / sd, y[train_idx])
         Xte = (data.X[test_idx] - mu) / sd
-        beta_ws = None
+        if solver is None:
+            path = lasso_path(train, grid).betas
+        beta = None
         for idx in order:
-            fit = solver(train, float(grid[idx]), beta_ws)
-            beta_ws = fit.beta_hat
-            resid = y[test_idx] - Xte @ fit.beta_hat
+            if solver is None:
+                beta = path[idx]
+            else:
+                fit = solver(train, float(grid[idx]), beta)
+                if not fit.converged:
+                    raise SolverError(
+                        "cross_validate: the fit at lambda=%.6g in fold %d of %d "
+                        "did not converge" % (grid[idx], i + 1, folds)
+                    )
+                beta = fit.beta_hat
+            resid = y[test_idx] - Xte @ beta
             sq_err[idx] += float(resid @ resid)
     cv_curve = sq_err / data.n
     at_min = np.flatnonzero(cv_curve == cv_curve.min())

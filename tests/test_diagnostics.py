@@ -340,6 +340,19 @@ class TestEndogeneityDiagnostic:
         c = endogeneity_diagnostic(data, resid, 10, seed=5)
         assert not np.array_equal(a.permuted_correlations, c.permuted_correlations)
 
+    def test_leave_one_out_null_matches_direct_loop(self):
+        # Binary columns on 6 rows leave few distinct correlations, so the
+        # permutations tie within and across one another.
+        X = np.random.default_rng(94).integers(0, 2, (6, 5)).astype(float)
+        X[0], X[1] = 0.0, 1.0
+        resid = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+        rep = endogeneity_diagnostic(Dataset(X), resid, 7, seed=3)
+        perm_corr = rep.permuted_correlations.reshape(7, 5)
+        assert len(np.unique(perm_corr)) < perm_corr.size // 2
+        want = [ks_distance(perm_corr[b], np.delete(perm_corr, b, axis=0))
+                for b in range(7)]
+        assert np.array_equal(rep.null_tail_statistics, want)
+
     def test_exchangeable_residuals_rarely_flag(self):
         flags = 0
         for seed in range(10):

@@ -13,6 +13,7 @@ from hdlab import (
     PenaltySpec,
     SingularityError,
     SizeLimitError,
+    SolverError,
     StepSizeError,
     ValidationError,
     best_subset_l0,
@@ -28,11 +29,13 @@ from hdlab import (
     kkt_violation,
     l0_objective,
     largest_gram_eigenvalue,
+    lasso_path,
     lla,
     ols_refit,
     penalized_objective,
     standardize,
 )
+from hdlab.solvers import PATH_KKT_TOL
 
 
 def sparse_problem(seed, n=80, d=12, noise=0.5):
@@ -269,6 +272,20 @@ class TestLla:
         err_lasso = np.max(np.abs(lasso.beta_hat - truth))
         assert err_folded < 0.5 * err_lasso
 
+    def test_default_round_cap_covers_slow_scad_fits(self):
+        # This SCAD fit needs 34 reweighting rounds; a cap of 20 stops it
+        # short of the fixed point.
+        spec = LinearModelSpec(n=100, d=40, beta={0: 3.0, 1: -2.5, 2: 2.0, 3: -1.5,
+                                                  4: 1.25, 5: -1.0}, noise_sd=1.0)
+        data = standardize(gen_linear(spec, 3))
+        data = Dataset(data.X, data.y - data.y.mean())
+        lam_max = float(np.max(np.abs(data.X.T @ data.y))) / data.n
+        pen = PenaltySpec("scad", 0.2 * lam_max, 3.7)
+        assert not lla(data, pen, max_outer=20).converged
+        fit = lla(data, pen)
+        assert fit.converged
+        assert fit.iterations > 20
+
     def test_validation(self):
         data = sparse_problem(42)
         spec = PenaltySpec("mcp", 0.1, 3.0)
@@ -461,7 +478,182 @@ def find_copy_split_seed(n_half, folds=2, limit=5000):
     raise AssertionError("no copy-preserving split found")
 
 
+def lasso_fold_problem(seed, n=160, d=200):
+    """The shape of one endogeneity training fold, with planted coupling."""
+    spec = LinearModelSpec(n=n, d=d, beta={0: 2.0, 1: 2.0, 2: 2.0},
+                           endogenous_set={3 + j: 0.8 for j in range(30)},
+                           endogenous_mode="direct")
+    data = standardize(gen_linear(spec, seed))
+    lam_max = float(np.max(np.abs(data.X.T @ data.y))) / data.n
+    return data, lam_max
+
+
+class TestLassoPath:
+    def test_agrees_with_coordinate_descent(self):
+        data, lam_max = lasso_fold_problem(11)
+        grid = np.geomspace(lam_max, 0.01 * lam_max, 20)
+        path = lasso_path(data, grid)
+        assert path.kinks > 0
+        assert np.all(path.kkt_violation <= 1e-9)
+        beta = None
+        for lam, row, viol in zip(grid, path.betas, path.kkt_violation):
+            assert viol == kkt_violation(data, row, lam)
+            beta = coord_descent_l1(data, lam, beta_init=beta, tol=1e-12).beta_hat
+            assert np.max(np.abs(row - beta)) <= 1e-9
+
+    def test_degenerate_wide_design_certified(self):
+        # At lam = 0 with d > n the homotopy ends on a spurious entry that
+        # would give n active columns; coordinate descent finishes the path.
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((15, 40))
+        y = X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.standard_normal(15)
+        data = standardize(Dataset(X, y))
+        lam_max = float(np.max(np.abs(data.X.T @ data.y))) / data.n
+        grid = np.append(np.geomspace(lam_max, 0.01 * lam_max, 10), 0.0)
+        path = lasso_path(data, grid)
+        assert path.polished >= 1
+        assert np.all(path.kkt_violation <= 1e-9)
+        for lam, row, viol in zip(grid, path.betas, path.kkt_violation):
+            assert viol == kkt_violation(data, row, lam)
+
+    def test_failed_certificate_is_polished_or_raises(self, monkeypatch):
+        import hdlab.solvers as solvers
+
+        data, lam_max = lasso_fold_problem(14, n=60, d=80)
+        grid = np.geomspace(lam_max, 0.05 * lam_max, 8)
+        exact = lasso_path(data, grid)
+        homotopy = solvers._homotopy
+
+        def damaged(X, y, levels):
+            betas, count, kinks, beta = homotopy(X, y, levels)
+            betas[4] = 0.0
+            return betas, count, kinks, beta
+
+        monkeypatch.setattr(solvers, "_homotopy", damaged)
+        path = lasso_path(data, grid)
+        assert path.polished == exact.polished + 1
+        assert np.all(path.kkt_violation <= 1e-9)
+        assert np.max(np.abs(path.betas - exact.betas)) <= 1e-9
+
+        cd = solvers.coord_descent_l1
+        monkeypatch.setattr(solvers, "coord_descent_l1",
+                            lambda ds, lam, **kw: cd(ds, lam, **dict(kw, max_iter=1)))
+        monkeypatch.setattr(solvers, "_POLISH_ROUNDS", 1)
+        with pytest.raises(SolverError, match="KKT violation"):
+            lasso_path(data, grid)
+
+    def test_certificate_scales_with_the_response(self):
+        # Round-off in X'(y - X b)/n grows with y. A response in raw units,
+        # or one with a large mean, must still certify at every point.
+        data, lam_max = lasso_fold_problem(15, n=60, d=80)
+        grid = np.geomspace(lam_max, 0.01 * lam_max, 10)
+        base = lasso_path(data, grid)
+        scaled = lasso_path(Dataset(data.X, data.y * 1e8), grid * 1e8)
+        assert np.max(np.abs(scaled.betas / 1e8 - base.betas)) <= 1e-12
+        # The columns have mean zero, so a shift of y leaves the solution
+        # unchanged up to the round-off of a 1e8 residual.
+        shifted = lasso_path(Dataset(data.X, data.y + 1e8), grid)
+        assert np.max(np.abs(shifted.betas - base.betas)) <= 1e-6
+
+    def test_near_duplicate_columns_certified_or_refused(self):
+        # Column 1 is column 0 plus 1e-8 noise, so the active Gram matrix
+        # turns singular once both could enter. The homotopy must stop
+        # there rather than enter the pair with huge offsetting
+        # coefficients, and every path must certify each point or raise.
+        finished_by_cd = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((20, 8))
+            X[:, 1] = X[:, 0] + 1e-8 * rng.standard_normal(20)
+            y = X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.standard_normal(20)
+            data = standardize(Dataset(X, y))
+            lam_max = float(np.max(np.abs(data.X.T @ data.y))) / data.n
+            try:
+                path = lasso_path(data, np.geomspace(lam_max, 1e-3 * lam_max, 20))
+            except SolverError as err:
+                assert "KKT violation" in str(err)
+                continue
+            bound = PATH_KKT_TOL * max(1.0, np.linalg.norm(data.y) / np.sqrt(data.n))
+            assert np.all(path.kkt_violation <= bound)
+            assert np.max(np.abs(path.betas)) < 10.0
+            finished_by_cd += path.polished > 0
+        assert finished_by_cd >= 1
+
+    def test_unsorted_grid_gives_identical_rows(self):
+        data, lam_max = lasso_fold_problem(12, n=60, d=80)
+        grid = np.geomspace(lam_max * 1.5, 0.01 * lam_max, 12)
+        perm = np.random.default_rng(0).permutation(grid.size)
+        ordered = lasso_path(data, grid)
+        shuffled = lasso_path(data, grid[perm])
+        assert np.array_equal(shuffled.betas, ordered.betas[perm])
+        assert np.array_equal(shuffled.kkt_violation, ordered.kkt_violation[perm])
+        assert shuffled.kinks == ordered.kinks
+        assert np.all(ordered.betas[0] == 0.0)
+
+    def test_requires_standardized_design(self):
+        rng = np.random.default_rng(13)
+        data = Dataset(rng.standard_normal((30, 5)) * 3.0 + 1.0, rng.standard_normal(30))
+        with pytest.raises(NotStandardizedError):
+            lasso_path(data, [0.1, 0.01])
+        with pytest.raises(ConfigurationError):
+            lasso_path(standardize(data), [0.1, -0.01])
+
+
 class TestCrossValidate:
+    def test_unconverged_solve_raises(self):
+        # The quick-start model of the README: each capped fit reports
+        # converged=False and must not feed the curve.
+        spec = LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5}, noise_sd=0.5)
+        data = standardize(gen_linear(spec, seed=7))
+
+        def capped(ds, lam, beta_init):
+            return coord_descent_l1(ds, lam, beta_init=beta_init, max_iter=2)
+
+        with pytest.raises(SolverError, match="lambda=0.5 in fold 1"):
+            cross_validate(data, np.geomspace(0.5, 0.01, 20), folds=5, seed=0,
+                           solver=capped)
+
+    def test_large_response_scale(self):
+        # The README model with y in raw units (times 1e8) picks the same
+        # grid index; with 1e8 added to y it still returns.
+        spec = LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5}, noise_sd=0.5)
+        data = standardize(gen_linear(spec, seed=7))
+        grid = np.geomspace(0.5, 0.01, 20)
+        lam, curve = cross_validate(data, grid, folds=5, seed=0)
+        lam_big, curve_big = cross_validate(Dataset(data.X, data.y * 1e8), grid * 1e8,
+                                            folds=5, seed=0)
+        assert lam_big == grid[np.flatnonzero(grid == lam)[0]] * 1e8
+        assert np.allclose(curve_big, curve * 1e16, rtol=1e-9, atol=0.0)
+        lam_shift, _ = cross_validate(Dataset(data.X, data.y + 1e8), grid, folds=5, seed=0)
+        assert lam_shift in grid
+
+    def test_near_duplicate_column_leaves_the_curve(self):
+        # A copy of column 0 with 1e-8 noise added must not change the
+        # choice of lambda.
+        grid = np.geomspace(1.0, 0.001, 20)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((30, 12))
+            X[:, 1] = X[:, 0] + 1e-8 * rng.standard_normal(30)
+            y = X[:, 0] + 0.5 * X[:, 2] + 0.3 * rng.standard_normal(30)
+            lam, curve = cross_validate(standardize(Dataset(X, y)), grid, folds=5, seed=0)
+            lam_one, curve_one = cross_validate(
+                standardize(Dataset(np.delete(X, 1, axis=1), y)), grid, folds=5, seed=0)
+            assert lam == lam_one
+            assert np.allclose(curve, curve_one, rtol=1e-8, atol=0.0)
+
+    def test_path_engine_matches_coordinate_descent_handle(self):
+        data = sparse_problem(106, n=80, d=30)
+        grid = np.geomspace(1.0, 0.005, 15)
+
+        def cd(ds, lam, beta_init):
+            return coord_descent_l1(ds, lam, beta_init=beta_init, tol=1e-12)
+
+        lam, curve = cross_validate(data, grid, folds=4, seed=3)
+        lam_cd, curve_cd = cross_validate(data, grid, folds=4, seed=3, solver=cd)
+        assert lam == lam_cd
+        assert np.allclose(curve, curve_cd, rtol=1e-9, atol=0.0)
+
     def test_single_candidate(self):
         data = sparse_problem(100, n=40, d=6)
         lam, curve = cross_validate(data, [0.3], folds=4, seed=0)
