@@ -22,7 +22,6 @@ import numpy as np
 
 from . import kernels
 from .data import read_csv, standardize
-from .diagnostics import ks_distance  # noqa: F401  (re-exported convenience)
 from .errors import ConfigurationError, ValidationError
 from .experiments import (
     endogeneity_experiment,
@@ -526,7 +525,8 @@ def build_parser():
     p_fit.add_argument("--gamma-n", type=float, default=None,
                        help="dantzig constraint radius")
     p_fit.add_argument("--gamma-n-scale", type=float, default=1.0,
-                       help="scale on the default dantzig radius")
+                       help="scale on the default dantzig radius, "
+                            "sd(y) * sqrt(2 * n * log(d))")
     p_fit.add_argument("--standardize", action="store_true",
                        help="standardize columns before fitting")
     p_fit.add_argument("--out", default="hdlab_out")

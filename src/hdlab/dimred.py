@@ -131,11 +131,19 @@ def distortion(data, proj):
         raise ValidationError("distortion needs at least 2 rows")
     orig = pairwise_distances(data.X)
     red = pairwise_distances(proj.apply(data.X))
+    return DistortionReport(median_relative_error(orig, red), proj.k, proj.method)
+
+
+def median_relative_error(orig, reduced):
+    """Median of |reduced - orig| / orig over the pairs with orig > 0.
+
+    Raises UndefinedMetricError if every original distance is zero.
+    """
     keep = orig > 0.0
     if not np.any(keep):
         raise UndefinedMetricError("all rows coincide; distances carry no information")
-    rel = np.abs(red[keep] - orig[keep]) / orig[keep]
-    return DistortionReport(float(np.median(rel)), proj.k, proj.method)
+    rel = np.abs(reduced[keep] - orig[keep]) / orig[keep]
+    return float(np.median(rel))
 
 
 def reconstruction_error(data, proj):

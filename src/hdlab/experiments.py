@@ -27,7 +27,7 @@ from .diagnostics import (
     residual_variance,
     spurious_experiment,
 )
-from .dimred import pairwise_distances, pca, random_projection
+from .dimred import median_relative_error, pairwise_distances, pca, random_projection
 from .errors import ConfigurationError, UndefinedMetricError, ValidationError
 from .penalties import PenaltySpec, penalty_value
 from .report import ExperimentReport
@@ -164,14 +164,6 @@ def penalty_curves(lam=1.0, t_min=-3.0, t_max=3.0, points=601):
     )
 
 
-def _median_relative_error(orig, reduced):
-    keep = orig > 0.0
-    if not np.any(keep):
-        raise UndefinedMetricError("all rows coincide")
-    rel = np.abs(reduced[keep] - orig[keep]) / orig[keep]
-    return float(np.median(rel))
-
-
 def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100, 250),
                                 n=400, spike_count=10, spike_sd=5.0, seed=0):
     """Median pairwise-distance distortion: principal components vs random
@@ -197,10 +189,10 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         for k in usable:
             sliced = base.basis[:, :k]
             red = pairwise_distances((data.X - data.X.mean(axis=0)) @ sliced)
-            err_pca = _median_relative_error(orig, red)
+            err_pca = median_relative_error(orig, red)
             rows.append([d, k, "pca", err_pca])
             rp = random_projection(data, k, seed=[seed, d, k])
-            err_rp = _median_relative_error(orig, pairwise_distances(rp.apply(data.X)))
+            err_rp = median_relative_error(orig, pairwise_distances(rp.apply(data.X)))
             rows.append([d, k, "rp", err_rp])
             summary["d%d_k%d" % (d, k)] = "pca=%.4f,rp=%.4f" % (err_pca, err_rp)
     return ExperimentReport(

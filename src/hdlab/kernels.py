@@ -1,18 +1,29 @@
-"""NumPy fallback for the weighted-L1 coordinate descent kernel.
+"""The weighted-L1 coordinate descent kernel, in NumPy.
 
-Shares its contract with the compiled version in _cd_cy.pyx: minimize
+cd_weighted_l1 minimizes
 
     ||y - X b||^2 / (2n) + sum_j weights[j] * |b[j]|
 
 by cyclic coordinate descent with an incrementally maintained residual,
 updating beta in place. Returns (iterations, converged). A sweep converges
 when the largest coordinate change falls below tol * (1 + max|beta|).
+
+BACKEND names the implementation for run logs; it is always "python".
 """
 
 import numpy as np
 
+BACKEND = "python"
+
 
 def cd_weighted_l1(X, y, weights, beta, tol, max_iter):
+    """Weighted-L1 coordinate descent; beta is modified in place.
+
+    X must be float64 and Fortran-ordered (column access is the hot path).
+    Returns (iterations, converged).
+    """
+    if not (isinstance(X, np.ndarray) and X.flags.f_contiguous and X.dtype == np.float64):
+        raise ValueError("X must be a Fortran-ordered float64 array")
     n, d = X.shape
     colsq = np.einsum("ij,ij->j", X, X)
     r = y - X @ beta

@@ -236,7 +236,8 @@ def lla(data, penalty, init=None, tol=1e-8, max_outer=100, inner_tol=1e-10,
     so the true penalized objective (tracked in objective_trace) never
     increases. From a zero start the first round is exactly the Lasso at the
     penalty's lam. Stops when the weight vector moves less than tol in sup
-    norm, or after max_outer rounds.
+    norm, or after max_outer rounds. The fit counts as converged only when
+    the weights settled and the last inner solve converged.
     """
     if penalty.family not in ("scad", "mcp"):
         raise ConfigurationError("the reweighted scheme needs a scad or mcp penalty")
@@ -263,7 +264,7 @@ def lla(data, penalty, init=None, tol=1e-8, max_outer=100, inner_tol=1e-10,
         new_weights = penalty_derivative(penalty, np.abs(beta))
         if float(np.max(np.abs(new_weights - weights))) < tol:
             weights = new_weights
-            converged = True
+            converged = fit.converged
             break
         weights = new_weights
     return _finish(data, beta, trace[-1], outer, converged, trace=trace)
@@ -321,14 +322,18 @@ class HighConfidenceSetSpec:
 
 
 def default_gamma_n(data, scale=1.0):
-    """Pilot constraint radius: scale * sd(y) * sqrt(2 log(d) / n)."""
+    """Pilot constraint radius: scale * sd(y) * sqrt(2 n log(d)).
+
+    HighConfidenceSetSpec bounds ||X'(y - X b)||_inf without dividing by n,
+    so the usual sd * sqrt(2 log(d) / n) bound on X'r/n is taken times n.
+    """
     y = data.require_y()
     if not (np.isfinite(scale) and scale > 0):
         raise ConfigurationError("scale must be positive")
     if data.n < 2:
         raise ValidationError("default gamma_n needs at least 2 rows")
     sigma = float(np.std(y, ddof=1))
-    return scale * sigma * math.sqrt(2.0 * math.log(data.d) / data.n)
+    return scale * sigma * math.sqrt(2.0 * data.n * math.log(data.d))
 
 
 def hcs_membership(spec, beta, rtol=1e-9):

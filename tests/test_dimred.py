@@ -17,6 +17,7 @@ from hdlab import (
     reconstruction_error,
     timing_trend,
 )
+from hdlab.dimred import median_relative_error
 
 
 def cloud(seed, n, d, scales=None):
@@ -176,6 +177,13 @@ class TestDistortion:
         data = Dataset(X)
         report = distortion(data, random_projection(data, 5, seed=0))
         assert np.isfinite(report.median_relative_error)
+
+    def test_median_relative_error_skips_zero_distances(self):
+        orig = np.array([0.0, 1.0, 2.0, 4.0])
+        reduced = np.array([3.0, 1.5, 2.0, 3.0])
+        assert median_relative_error(orig, reduced) == 0.25
+        with pytest.raises(UndefinedMetricError):
+            median_relative_error(np.zeros(3), np.ones(3))
 
     def test_degenerate_inputs(self):
         flat = Dataset(np.ones((4, 6)))

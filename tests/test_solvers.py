@@ -286,6 +286,17 @@ class TestLla:
         assert fit.converged
         assert fit.iterations > 20
 
+    def test_unconverged_inner_solve_is_reported(self):
+        # With one sweep per inner solve the weights settle after 2-3 rounds
+        # while the fit is still up to 4e-3 from SCAD stationarity.
+        spec = LinearModelSpec(n=100, d=20, beta={0: 2.0, 3: -1.0}, noise_sd=0.5)
+        pen = PenaltySpec("scad", 0.1, 3.7)
+        for seed in range(3):
+            data = standardize(gen_linear(spec, seed))
+            data = Dataset(data.X, data.y - data.y.mean())
+            assert not lla(data, pen, inner_max_iter=1).converged
+            assert lla(data, pen).converged
+
     def test_validation(self):
         data = sparse_problem(42)
         spec = PenaltySpec("mcp", 0.1, 3.0)
@@ -400,9 +411,20 @@ class TestDantzig:
     def test_default_radius(self):
         data = sparse_problem(80, n=50, d=20)
         sigma = float(np.std(data.y, ddof=1))
-        want = sigma * math.sqrt(2 * math.log(20) / 50)
+        want = sigma * math.sqrt(2 * 50 * math.log(20))
         assert default_gamma_n(data) == pytest.approx(want, rel=1e-12)
         assert default_gamma_n(data, scale=2.5) == pytest.approx(2.5 * want, rel=1e-12)
+
+    def test_default_radius_selects_the_true_support(self):
+        # The radius bounds X'r without the 1/n; on the X'r/n scale it kept
+        # 47-50 of the 50 columns here.
+        spec = LinearModelSpec(n=200, d=50, beta={0: 2.0, 1: -1.5, 2: 1.0},
+                               noise_sd=1.0)
+        for seed in range(3):
+            data = standardize(gen_linear(spec, seed))
+            data = Dataset(data.X, data.y - data.y.mean())
+            fit = dantzig_selector(HighConfidenceSetSpec(data, default_gamma_n(data)))
+            assert np.array_equal(fit.active_set, [0, 1, 2])
 
     def test_default_radius_edge_cases(self):
         one_col = Dataset(np.random.default_rng(81).standard_normal((20, 1)),
