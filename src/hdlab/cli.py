@@ -9,11 +9,11 @@ Subcommands:
 
 Every command writes CSV artifacts (plus SVG companions where a picture
 helps) into --out. Exit status: 0 on success, 2 on invalid input or solver
-failure, 3 when a reproduce run fails one of its built-in sanity checks.
+failure, 3 when a reproduce or diagnose run fails one of its built-in sanity
+checks.
 """
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -32,6 +32,7 @@ from .experiments import (
     variance_experiment,
 )
 from .penalties import parse_penalty
+from .report import write_kv, write_table
 from .screening import sis_select
 from .solvers import (
     HighConfidenceSetSpec,
@@ -45,21 +46,6 @@ from .solvers import (
     lla,
 )
 from .svgplot import histogram_svg, line_chart_svg, scatter_svg
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                        for v in row])
-
-
-def _write_kv(path, pairs):
-    with open(path, "w") as fh:
-        for k, v in pairs:
-            fh.write("%s=%s\n" % (k, v))
 
 
 def _load_data(args, need_y):
@@ -83,95 +69,72 @@ def _parse_grid(text):
     return np.asarray(grid)
 
 
-def _fit_once(data, args, lam):
-    """Run the selected solver at one tuning value; returns (fit, extras)."""
-    extras = {}
-    tol = args.tol
+def _solver(args):
+    """The selected solver as one handle (data, lam, init) -> FitResult.
+
+    The handle serves every cross-validation fit and the final fit. For
+    dantzig, lam is the constraint radius gamma_n. A penalty that cd cannot
+    minimize is rejected here, before any fit runs.
+    """
+    kw = {"tol": args.tol} if args.tol else {}
     if args.solver == "cd":
-        pen = parse_penalty(args.penalty, max(lam, np.finfo(float).tiny), args.gamma)
-        if pen.family != "soft":
+        # Any lam > 0 will do: only the family is checked.
+        family = parse_penalty(args.penalty, 1.0, args.gamma).family
+        if family != "soft":
             raise ConfigurationError(
-                "cd minimizes the soft (L1) penalty; use --solver lla for %s" % pen.family
+                "cd minimizes the soft (L1) penalty; use --solver lla for %s" % family
             )
-        fit = coord_descent_l1(data, lam, **({"tol": tol} if tol else {}))
-        extras["kkt_violation"] = kkt_violation(data, fit.beta_hat, lam)
-    elif args.solver == "ista":
-        pen = parse_penalty(args.penalty, lam, args.gamma)
-        kw = {"tol": tol} if tol else {}
+        return lambda ds, lam, init: coord_descent_l1(ds, lam, **kw)
+    if args.solver == "ista":
         if args.step:
             kw["step"] = args.step
-        fit = ista(data, pen, **kw)
-    elif args.solver == "lla":
-        pen = parse_penalty(args.penalty, lam, args.gamma)
-        fit = lla(data, pen, **({"tol": tol} if tol else {}))
-    elif args.solver == "l0":
-        fit = best_subset_l0(data, lam)
-    elif args.solver == "dantzig":
-        gamma_n = args.gamma_n
-        if gamma_n is None:
-            gamma_n = default_gamma_n(data, args.gamma_n_scale)
-        extras["gamma_n"] = gamma_n
-        fit = dantzig_selector(HighConfidenceSetSpec(data, gamma_n))
-    else:
-        raise ConfigurationError("unknown solver %r" % args.solver)
-    return fit, extras
-
-
-def _cv_solver(args):
-    """Solver handle (train, lam, init) -> FitResult for cross_validate.
-
-    None for cd: cross_validate then runs its exact Lasso path per fold,
-    which needs no tolerance.
-    """
-    solver = args.solver
-    tol = args.tol
-    if solver == "cd":
-        return None
-
-    def handle(ds, lam, init):
-        if solver == "ista":
-            return ista(ds, parse_penalty(args.penalty, lam, args.gamma),
-                        **({"tol": tol} if tol else {}))
-        if solver == "lla":
-            return lla(ds, parse_penalty(args.penalty, lam, args.gamma),
-                       **({"tol": tol} if tol else {}))
-        if solver == "l0":
-            return best_subset_l0(ds, lam)
-        if solver == "dantzig":
-            # The grid doubles as the constraint radius gamma_n.
-            return dantzig_selector(HighConfidenceSetSpec(ds, lam))
-        raise ConfigurationError("unknown solver %r" % solver)
-
-    return handle
+        return lambda ds, lam, init: ista(
+            ds, parse_penalty(args.penalty, lam, args.gamma), **kw)
+    if args.solver == "lla":
+        return lambda ds, lam, init: lla(
+            ds, parse_penalty(args.penalty, lam, args.gamma), **kw)
+    if args.solver == "l0":
+        return lambda ds, lam, init: best_subset_l0(ds, lam)
+    if args.solver == "dantzig":
+        return lambda ds, lam, init: dantzig_selector(HighConfidenceSetSpec(ds, lam))
+    raise ConfigurationError("unknown solver %r" % args.solver)
 
 
 def cmd_fit(args):
     t0 = time.perf_counter()
+    solve = _solver(args)
     data = _load_data(args, need_y=True)
     os.makedirs(args.out, exist_ok=True)
     extras = {}
     if args.lambda_grid is not None:
         grid = _parse_grid(args.lambda_grid)
-        lam_star, curve = cross_validate(data, grid, args.cv_folds, args.seed,
-                                         solver=_cv_solver(args))
-        _write_rows(os.path.join(args.out, "fit_cv.csv"),
-                    ["lambda", "cv_mse"], list(zip(grid.tolist(), curve.tolist())))
-        extras["lambda_star"] = lam_star
-        lam = lam_star
-        if args.solver == "dantzig" and args.gamma_n is None:
-            args.gamma_n = lam_star
+        # cd leaves the grid to the exact Lasso path, which needs no tolerance.
+        lam, curve = cross_validate(data, grid, args.cv_folds, args.seed,
+                                    solver=None if args.solver == "cd" else solve)
+        write_table(os.path.join(args.out, "fit_cv.csv"), ["lambda", "cv_mse"],
+                    zip(grid.tolist(), curve.tolist()))
+        extras["lambda_star"] = lam
     elif args.lam is not None:
         lam = args.lam
     elif args.solver == "dantzig":
         lam = 0.0  # unused; gamma_n drives the fit
     else:
         raise ConfigurationError("pass --lambda or --lambda-grid")
-    fit, fit_extras = _fit_once(data, args, lam)
-    extras.update(fit_extras)
+    if args.solver == "dantzig":
+        # The radius: --gamma-n, else lambda* from the grid, else the default.
+        gamma_n = _first(args.gamma_n, extras.get("lambda_star"))
+        if gamma_n is None:
+            gamma_n = default_gamma_n(data, args.gamma_n_scale)
+        extras["gamma_n"] = gamma_n
+        fit = solve(data, gamma_n, None)
+    else:
+        fit = solve(data, lam, None)
+    if args.solver == "cd":
+        extras["kkt_violation"] = kkt_violation(data, fit.beta_hat, lam)
 
     coef_path = os.path.join(args.out, "fit_coefficients.csv")
-    rows = [[j, data.name_of(j), fit.beta_hat[j]] for j in range(data.d)]
-    _write_rows(coef_path, ["index", "name", "coefficient"], rows)
+    write_table(coef_path, ["index", "name", "coefficient"],
+                ([j, data.name_of(j), fit.beta_hat[j]] for j in range(data.d)))
     meta = [
         ("solver", args.solver),
         ("penalty", args.penalty),
@@ -187,7 +150,7 @@ def cmd_fit(args):
     ]
     meta.extend(sorted((k, repr(float(v))) for k, v in extras.items()))
     meta.append(("wall_clock", "%.3f" % (time.perf_counter() - t0)))
-    _write_kv(os.path.join(args.out, "fit_run.txt"), meta)
+    write_kv(os.path.join(args.out, "fit_run.txt"), meta)
     print("fit: solver=%s active=%d/%d objective=%.6g -> %s"
           % (args.solver, fit.active_set.size, data.d, fit.objective, coef_path))
     return 0
@@ -205,84 +168,29 @@ def cmd_screen(args):
         rows.append([rank, int(j), data.name_of(j), res.marginal_beta[j],
                      int(j in kept)])
     path = os.path.join(args.out, "screen_ranking.csv")
-    _write_rows(path, ["rank", "index", "name", "marginal_beta", "selected"], rows)
+    write_table(path, ["rank", "index", "name", "marginal_beta", "selected"], rows)
     print("screen: kept %d of %d (%s) -> %s" % (len(kept), data.d, res.rule, path))
     return 0
 
 
-def _report_to_disk(rep, outdir):
-    paths = rep.write(outdir)
-    for p in paths:
-        print("wrote %s" % p)
-    return paths
-
-
-def _hist_by_group(rows, key_idx, val_idx, prefix=""):
-    groups = {}
-    for row in rows:
-        groups.setdefault("%s%s" % (prefix, row[key_idx]), []).append(float(row[val_idx]))
-    return groups
-
-
 def cmd_diagnose(args):
-    os.makedirs(args.out, exist_ok=True)
+    """Run the experiment that KIND names, then finish as reproduce does."""
+    kw = {"seed": args.seed, "n": args.n}
     if args.kind == "spurious":
-        rep = spurious_correlation_experiment(
-            seed=args.seed, n=args.n, d_list=args.d, reps=args.reps,
-            subset_size=args.subset_size, method=args.method)
-        _report_to_disk(rep, args.out)
-        _, rows = rep.tables["values"]
-        histogram_svg(_hist_by_group(rows, 0, 2, "d="),
-                      os.path.join(args.out, "spurious_r_hat.svg"),
-                      title="max single-column correlation (null data)",
-                      xlabel="r_hat")
-        histogram_svg(_hist_by_group(rows, 0, 3, "d="),
-                      os.path.join(args.out, "spurious_R_hat.svg"),
-                      title="max multiple correlation, subsets of %d" % args.subset_size,
-                      xlabel="R_hat")
+        experiment = spurious_correlation_experiment
+        kw.update(d_list=args.d, reps=args.reps, subset_size=args.subset_size,
+                  method=args.method)
     elif args.kind == "variance":
-        rep = variance_experiment(seed=args.seed, n=args.n, d=args.d_single,
-                                  reps=args.reps, support_size=args.support_size,
-                                  noise_sd=args.noise_sd)
-        _report_to_disk(rep, args.out)
-        _, rows = rep.tables["estimates"]
-        arr = np.asarray([r[1:] for r in rows], dtype=np.float64)
-        histogram_svg({"dredged support": arr[:, 0], "fixed support": arr[:, 1],
-                       "refitted cv": arr[:, 2]},
-                      os.path.join(args.out, "variance_estimates.svg"),
-                      title="noise variance estimates (truth %.3g)" % (args.noise_sd ** 2),
-                      xlabel="sigma^2 estimate")
-    elif args.kind in ("endogeneity", "overid"):
-        mode = "quadratic" if args.kind == "overid" else args.mode
-        rep = endogeneity_experiment(
-            seed=args.seed, n=args.n, d=args.d_single, coupled_count=args.coupled_count,
-            coupling=args.coupling, mode=mode, noise_sd=args.noise_sd,
-            permutations=args.permutations)
-        _report_to_disk(rep, args.out)
-        _, rows = rep.tables["correlations"]
-        for scenario in ("planted", "exogenous"):
-            groups = {}
-            for row in rows:
-                if row[0] == scenario:
-                    groups.setdefault(row[1], []).append(float(row[2]))
-            if groups:
-                histogram_svg(groups,
-                              os.path.join(args.out, "endogeneity_%s.svg" % scenario),
-                              title="residual correlations, %s scenario" % scenario,
-                              xlabel="correlation")
-        _, orows = rep.tables["overid"]
-        if orows:
-            groups = {}
-            for row in orows:
-                groups.setdefault(row[0], ([], []))
-                groups[row[0]][0].append(float(row[2]))
-                groups[row[0]][1].append(float(row[3]))
-            scatter_svg(groups, os.path.join(args.out, "overid_moments.svg"),
-                        title="selected columns: residual moment correlations",
-                        xlabel="corr(X_j, resid)", ylabel="corr(X_j^2, resid)")
-    else:
-        raise ConfigurationError("unknown diagnose kind %r" % args.kind)
-    return 0
+        experiment = variance_experiment
+        kw.update(d=args.d_single, reps=args.reps, support_size=args.support_size,
+                  noise_sd=args.noise_sd)
+    else:  # endogeneity, and overid: the same run with quadratic coupling
+        experiment = endogeneity_experiment
+        kw.update(d=args.d_single, coupled_count=args.coupled_count,
+                  coupling=args.coupling, noise_sd=args.noise_sd,
+                  mode="quadratic" if args.kind == "overid" else args.mode,
+                  permutations=args.permutations)
+    return _finish(experiment(**kw), args.out)
 
 
 def cmd_reduce(args):
@@ -302,9 +210,9 @@ def cmd_reduce(args):
         header.append("y")
         for i, row in enumerate(rows):
             row.append(data.y[i])
-    _write_rows(os.path.join(args.out, "reduced.csv"), header, rows)
+    write_table(os.path.join(args.out, "reduced.csv"), header, rows)
     rep = distortion(data, proj)
-    _write_rows(os.path.join(args.out, "distortion.csv"),
+    write_table(os.path.join(args.out, "distortion.csv"),
                 ["method", "k", "median_relative_error"],
                 [[rep.method, rep.k, rep.median_relative_error]])
     print("reduce: %s k=%d median distortion %.4f -> %s"
@@ -359,18 +267,19 @@ _FIGURES = {
 }
 
 
-def _reproduce_sanity(figure, rep):
+def _sanity(rep):
+    """The report's built-in sanity checks; returns the problems found."""
     problems = []
-    if figure == "1":
+    if rep.experiment == "noise_accumulation":
         for m, sep, sep2 in rep.tables["separation"][1]:
             if not (np.isfinite(sep) and sep > 0 and np.isfinite(sep2) and sep2 > 0):
                 problems.append("non-positive separation at m=%s" % m)
-    elif figure == "2":
+    elif rep.experiment == "spurious":
         for d, r, r_hat, R_hat in rep.tables["values"][1]:
             if R_hat < r_hat - 1e-9 or not 0.0 <= r_hat <= 1.0 + 1e-12:
                 problems.append("replicate %s/%s: R_hat %.12g < r_hat %.12g"
                                 % (d, r, R_hat, r_hat))
-    elif figure == "4":
+    elif rep.experiment == "penalty_curves":
         vals = {}
         for label, t, v in rep.tables["curves"][1]:
             if not np.isfinite(v) or v < -1e-15:
@@ -382,19 +291,27 @@ def _reproduce_sanity(figure, rep):
                 if -t in lookup and abs(lookup[-t] - v) > 1e-9:
                     problems.append("%s asymmetric at t=%s" % (label, t))
                     break
-    elif figure == "11":
+    elif rep.experiment == "projection_error":
         for d, k, method, err in rep.tables["errors"][1]:
             if not (np.isfinite(err) and err >= 0):
                 problems.append("bad error %r at d=%s k=%s %s" % (err, d, k, method))
-    elif figure == "endo":
+    elif rep.experiment == "endogeneity":
         for row in rep.tables["summary"][1]:
             if not 0.0 <= row[1] <= 1.0:
                 problems.append("tail statistic %r outside [0, 1]" % row[1])
     return problems
 
 
-def _reproduce_svgs(figure, rep, outdir):
-    if figure == "1":
+def _hist_by_group(rows, key_idx, val_idx, prefix=""):
+    groups = {}
+    for row in rows:
+        groups.setdefault("%s%s" % (prefix, row[key_idx]), []).append(float(row[val_idx]))
+    return groups
+
+
+def _draw(rep, outdir):
+    """Write the report's SVG companions next to its tables."""
+    if rep.experiment == "noise_accumulation":
         _, sep_rows = rep.tables["separation"]
         ms = [r[0] for r in sep_rows]
         line_chart_svg(
@@ -415,15 +332,17 @@ def _reproduce_svgs(figure, rep, outdir):
                         os.path.join(outdir, "noise_accumulation_m%d.svg" % m),
                         title="first two principal components, m=%d" % m,
                         xlabel="pc1", ylabel="pc2")
-    elif figure == "2":
+    elif rep.experiment == "spurious":
         _, rows = rep.tables["values"]
         histogram_svg(_hist_by_group(rows, 0, 2, "d="),
                       os.path.join(outdir, "spurious_r_hat.svg"),
                       title="max single-column correlation (null data)", xlabel="r_hat")
         histogram_svg(_hist_by_group(rows, 0, 3, "d="),
                       os.path.join(outdir, "spurious_R_hat.svg"),
-                      title="max multiple correlation", xlabel="R_hat")
-    elif figure == "4":
+                      title="max multiple correlation, subsets of %d"
+                            % rep.params["subset_size"],
+                      xlabel="R_hat")
+    elif rep.experiment == "penalty_curves":
         _, rows = rep.tables["curves"]
         series = {}
         for label, t, v in rows:
@@ -432,7 +351,7 @@ def _reproduce_svgs(figure, rep, outdir):
             series[label][1].append(v)
         line_chart_svg(series, os.path.join(outdir, "penalty_curves.svg"),
                        title="penalty functions", xlabel="t", ylabel="P(t)")
-    elif figure == "11":
+    elif rep.experiment == "projection_error":
         _, rows = rep.tables["errors"]
         for d in sorted({r[0] for r in rows}):
             series = {}
@@ -445,7 +364,15 @@ def _reproduce_svgs(figure, rep, outdir):
                            os.path.join(outdir, "projection_error_d%d.svg" % d),
                            title="median distance distortion, d=%d" % d,
                            xlabel="k", ylabel="median relative error")
-    elif figure == "endo":
+    elif rep.experiment == "variance":
+        _, rows = rep.tables["estimates"]
+        arr = np.asarray([r[1:] for r in rows], dtype=np.float64)
+        histogram_svg({"dredged support": arr[:, 0], "fixed support": arr[:, 1],
+                       "refitted cv": arr[:, 2]},
+                      os.path.join(outdir, "variance_estimates.svg"),
+                      title="noise variance estimates (truth %.3g)" % rep.summary["truth"],
+                      xlabel="sigma^2 estimate")
+    elif rep.experiment == "endogeneity":
         _, rows = rep.tables["correlations"]
         for scenario in ("planted", "exogenous"):
             groups = {}
@@ -457,6 +384,34 @@ def _reproduce_svgs(figure, rep, outdir):
                               os.path.join(outdir, "endogeneity_%s.svg" % scenario),
                               title="residual correlations, %s scenario" % scenario,
                               xlabel="correlation")
+        _, orows = rep.tables["overid"]
+        if orows:
+            groups = {}
+            for row in orows:
+                groups.setdefault(row[0], ([], []))
+                groups[row[0]][0].append(float(row[2]))
+                groups[row[0]][1].append(float(row[3]))
+            scatter_svg(groups, os.path.join(outdir, "overid_moments.svg"),
+                        title="selected columns: residual moment correlations",
+                        xlabel="corr(X_j, resid)", ylabel="corr(X_j^2, resid)")
+
+
+def _finish(rep, outdir):
+    """Write the report, draw its SVGs and run its sanity checks.
+
+    Returns the exit status: 3 when a sanity check fails, else 0.
+    """
+    for p in rep.write(outdir):
+        print("wrote %s" % p)
+    _draw(rep, outdir)
+    problems = _sanity(rep)
+    if problems:
+        for p in problems:
+            print("sanity check failed: %s" % p, file=sys.stderr)
+        return 3
+    for k, v in rep.summary.items():
+        print("%s=%s" % (k, v))
+    return 0
 
 
 def cmd_reproduce(args):
@@ -478,18 +433,7 @@ def cmd_reproduce(args):
         kwargs["seed"] = seed
     if figure == "2":
         kwargs["paper_scale"] = paper_scale
-    rep = _FIGURES[figure](**kwargs)
-    os.makedirs(out, exist_ok=True)
-    _report_to_disk(rep, out)
-    _reproduce_svgs(figure, rep, out)
-    problems = _reproduce_sanity(figure, rep)
-    if problems:
-        for p in problems:
-            print("sanity check failed: %s" % p, file=sys.stderr)
-        return 3
-    for k, v in rep.summary.items():
-        print("%s=%s" % (k, v))
-    return 0
+    return _finish(_FIGURES[figure](**kwargs), out)
 
 
 def build_parser():

@@ -16,6 +16,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
+from .report import write_table
 
 
 def _as_matrix(X):
@@ -257,16 +258,11 @@ def write_csv(data, path):
     Floats are written with repr so a read-back reproduces the array exactly.
     """
     names = [data.name_of(j) for j in range(data.d)]
+    rows = data.X
     if data.y is not None:
-        names = names + ["y"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.X[i]]
-            if data.y is not None:
-                row.append(repr(float(data.y[i])))
-            w.writerow(row)
+        names.append("y")
+        rows = np.column_stack([data.X, data.y])
+    write_table(path, names, rows)
 
 
 def read_csv(path, y_col="y"):

@@ -1,4 +1,5 @@
-"""Experiment report container with deterministic CSV output.
+"""Experiment report container and the one writer of CSV tables and
+key=value files.
 
 Reports carry their full parameterization, so a run can be reconstructed
 from its emitted files alone. Floats are written with repr (shortest
@@ -19,6 +20,22 @@ def _cell(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)
+
+
+def write_table(path, header, rows):
+    """Write a header row, then each row with every cell formatted by _cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_cell(v) for v in row])
+
+
+def write_kv(path, pairs):
+    """Write one key=value line per (key, value) pair, the value as %s gives it."""
+    with open(path, "w") as fh:
+        for k, v in pairs:
+            fh.write("%s=%s\n" % (k, v))
 
 
 @dataclass
@@ -49,20 +66,13 @@ class ExperimentReport:
         for name in self.tables:
             header, rows = self.tables[name]
             path = os.path.join(outdir, "%s_%s.csv" % (self.experiment, name))
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(header)
-                for row in rows:
-                    w.writerow([_cell(v) for v in row])
+            write_table(path, header, rows)
             paths.append(path)
         meta = os.path.join(outdir, "%s_params.txt" % self.experiment)
-        with open(meta, "w") as fh:
-            fh.write("experiment=%s\n" % self.experiment)
-            for k in self.params:
-                fh.write("%s=%s\n" % (k, _fmt_param(self.params[k])))
-            for k in self.summary:
-                fh.write("summary.%s=%s\n" % (k, _cell(self.summary[k])))
-            fh.write("wall_clock=%.3f\n" % self.wall_clock)
+        write_kv(meta, [("experiment", self.experiment)]
+                 + [(k, _fmt_param(v)) for k, v in self.params.items()]
+                 + [("summary." + k, _cell(v)) for k, v in self.summary.items()]
+                 + [("wall_clock", "%.3f" % self.wall_clock)])
         paths.append(meta)
         return paths
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import shlex
 import shutil
 import subprocess
 
@@ -15,7 +16,10 @@ from hdlab import (
     standardize,
     write_csv,
 )
-from hdlab.cli import main, read_config
+from hdlab import cli
+from hdlab.cli import build_parser, main, read_config
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 @pytest.fixture()
@@ -42,6 +46,21 @@ def read_table(path):
     return rows[0], rows[1:]
 
 
+def assert_same_tables(a, b):
+    """Both directories hold the same CSV tables, byte for byte, and the
+    same SVG names."""
+    def listing(path, ext):
+        return sorted(f for f in os.listdir(path) if f.endswith(ext))
+
+    tables = listing(a, ".csv")
+    assert tables and tables == listing(b, ".csv")
+    for name in tables:
+        with open(os.path.join(a, name), "rb") as fa, \
+                open(os.path.join(b, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+    assert listing(a, ".svg") == listing(b, ".svg")
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -51,6 +70,15 @@ class TestParser:
         path, _ = csv_data
         with pytest.raises(SystemExit):
             main(["fit", "--data", path, "--solver", "sgd"])
+
+    def test_readme_command_lines_parse(self):
+        with open(README) as fh:
+            text = fh.read()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("hdlab ")]
+        assert len(lines) >= 5
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestFit:
@@ -102,6 +130,15 @@ class TestFit:
         assert code == 2
         assert "lla" in capsys.readouterr().err
 
+    def test_cd_rejects_nonconvex_penalty_before_cv(self, tmp_path, csv_data, capsys):
+        path, _ = csv_data
+        out = str(tmp_path / "o")
+        code = main(["fit", "--data", path, "--penalty", "scad:3.7",
+                     "--lambda-grid", "0.5,0.1,0.02", "--out", out])
+        assert code == 2
+        assert "lla" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "fit_cv.csv"))
+
     def test_missing_lambda_is_an_error(self, tmp_path, csv_data, capsys):
         path, _ = csv_data
         code = main(["fit", "--data", path, "--out", str(tmp_path / "o")])
@@ -113,6 +150,22 @@ class TestFit:
         code = main(["fit", "--data", path, "--solver", "ista", "--lambda",
                      "0.1", "--step", "100.0", "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_ista_step_reaches_every_cv_fit(self, tmp_path, csv_data, monkeypatch):
+        path, _ = csv_data
+        steps = []
+        real = cli.ista
+
+        def spy(data, penalty, **kw):
+            steps.append(kw.get("step"))
+            return real(data, penalty, **kw)
+
+        monkeypatch.setattr(cli, "ista", spy)
+        code = main(["fit", "--data", path, "--solver", "ista", "--step", "0.25",
+                     "--lambda-grid", "0.5,0.1,0.02", "--cv-folds", "3",
+                     "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert steps == [0.25] * (3 * 3 + 1)  # every fold and grid value, then the final fit
 
     def test_exhaustive_solver(self, tmp_path, csv_data):
         path, data = csv_data
@@ -229,6 +282,43 @@ class TestDiagnose:
         code = main(["diagnose", "spurious", "--n", "2", "--out",
                      str(tmp_path / "o")])
         assert code == 2
+
+    def test_spurious_matches_reproduce(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["diagnose", "spurious", "--n", "12", "--d", "5,8",
+                     "--reps", "3", "--subset-size", "2", "--seed", "1",
+                     "--out", a]) == 0
+        cfg = tmp_path / "spurious.cfg"
+        cfg.write_text("figure=2\nn=12\nd_list=5,8\nreps=3\nsubset_size=2\n")
+        assert main(["reproduce", "--config", str(cfg), "--seed", "1",
+                     "--out", b]) == 0
+        assert_same_tables(a, b)
+
+    def test_endogeneity_matches_reproduce(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["diagnose", "endogeneity", "--n", "60", "--d-single", "30",
+                     "--coupled-count", "8", "--permutations", "10",
+                     "--out", a]) == 0
+        cfg = tmp_path / "endo.cfg"
+        cfg.write_text("figure=endo\nn=60\nd=30\ncoupled_count=8\npermutations=10\n")
+        assert main(["reproduce", "--config", str(cfg), "--out", b]) == 0
+        assert_same_tables(a, b)
+        assert "overid_moments.svg" in os.listdir(b)
+
+    def test_failed_sanity_check_exits_3(self, tmp_path, monkeypatch, capsys):
+        real = cli.endogeneity_experiment
+
+        def corrupted(**kw):
+            rep = real(**kw)
+            rep.tables["summary"][1][0][1] = 1.5  # a tail statistic outside [0, 1]
+            return rep
+
+        monkeypatch.setattr(cli, "endogeneity_experiment", corrupted)
+        code = main(["diagnose", "endogeneity", "--n", "60", "--d-single", "30",
+                     "--coupled-count", "8", "--permutations", "10",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "sanity check failed" in capsys.readouterr().err
 
 
 class TestReduce:
