@@ -465,7 +465,9 @@ def build_parser():
                             "--lambda-grid cross-validation, which runs the exact "
                             "Lasso path")
     p_fit.add_argument("--step", type=float, default=None,
-                       help="ista step size (1/L when omitted)")
+                       help="ista step size, at most 1/L for the top eigenvalue L of "
+                            "X'X/n (1/L when omitted); with --lambda-grid it must "
+                            "not exceed 1/L of any training fold either")
     p_fit.add_argument("--gamma-n", type=float, default=None,
                        help="dantzig constraint radius")
     p_fit.add_argument("--gamma-n-scale", type=float, default=1.0,

@@ -10,7 +10,6 @@ single-column statistic exactly, replicate by replicate.
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +18,11 @@ from .data import Dataset, sample_corr
 from .errors import (
     ConfigurationError,
     SelectionTooLargeError,
-    SingularityError,
     SizeLimitError,
     UndefinedCorrelationError,
     ValidationError,
 )
-from .report import ExperimentReport
+from .solvers import _support_indices, _support_lstsq
 
 EXACT_SUBSET_CAP = 1_000_000
 
@@ -87,31 +85,35 @@ class OveridReport:
     corr_x2: np.ndarray
 
 
-def _center_columns(X):
-    Xc = X - X.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
-    return Xc, norms
+def _centered(X, v):
+    """Center the columns of X and the vector v; every correlation below
+    starts here.
 
-
-def _corr_columns(X, v, what="column"):
-    """Correlation of every column of X with v; the shared code path."""
+    Returns (Xc, vc, squared column norms of Xc, squared norm of vc). Raises
+    UndefinedCorrelationError for a constant v, else for the first constant
+    column.
+    """
     vc = v - v.mean()
-    nv = math.sqrt(float(vc @ vc))
-    if nv == 0.0:
+    v_sq = float(vc @ vc)
+    if v_sq == 0.0:
         raise UndefinedCorrelationError("target vector is constant")
-    Xc, norms = _center_columns(X)
-    bad = np.flatnonzero(norms == 0.0)
+    Xc = X - X.mean(axis=0)
+    col_sq = np.einsum("ij,ij->j", Xc, Xc)
+    bad = np.flatnonzero(col_sq == 0.0)
     if bad.size:
-        raise UndefinedCorrelationError("%s %d is constant" % (what, int(bad[0])))
-    return np.clip((Xc.T @ vc) / (norms * nv), -1.0, 1.0)
+        raise UndefinedCorrelationError("column %d is constant" % int(bad[0]))
+    return Xc, vc, col_sq, v_sq
+
+
+def _corr_columns(X, v):
+    """Correlation of every column of X with v; the shared code path."""
+    Xc, vc, col_sq, v_sq = _centered(X, v)
+    return np.clip((Xc.T @ vc) / (np.sqrt(col_sq) * math.sqrt(v_sq)), -1.0, 1.0)
 
 
 def max_spurious_corr(data):
     """Largest |correlation| between column 0 and any other column."""
-    if data.d < 2:
-        raise ValidationError("need at least 2 columns")
-    corr = _corr_columns(data.X[:, 1:], data.X[:, 0])
-    return float(np.max(np.abs(corr)))
+    return max_multiple_corr(data, 1).r_hat
 
 
 def _greedy_indices(C, t, size):
@@ -121,17 +123,7 @@ def _greedy_indices(C, t, size):
     Keeps an orthonormal basis of the selected columns; each step picks the
     column whose residual direction gains the most explained variance.
     """
-    n = t.shape[0]
-    tc = t - t.mean()
-    nt = math.sqrt(float(tc @ tc))
-    if nt == 0.0:
-        raise UndefinedCorrelationError("target vector is constant")
-    Cres = C - C.mean(axis=0)
-    orig_sq = np.einsum("ij,ij->j", Cres, Cres)
-    if np.any(orig_sq == 0.0):
-        j = int(np.flatnonzero(orig_sq == 0.0)[0])
-        raise UndefinedCorrelationError("column %d is constant" % j)
-    tres = tc.copy()
+    Cres, tres, orig_sq, t_sq = _centered(C, t)
     picked = []
     proj_sq = 0.0
     for step in range(size):
@@ -150,27 +142,20 @@ def _greedy_indices(C, t, size):
         tres = tres - coef * q
         Cres = Cres - np.outer(q, q @ Cres)
         picked.append(j)
-    R = math.sqrt(proj_sq) / nt
+    R = math.sqrt(proj_sq) / math.sqrt(t_sq)
     return picked, float(min(1.0, R))
 
 
 def _exact_best_subset_r(C, t, size):
     """Exhaustive multiple correlation over all subsets of the given size."""
-    n, p = C.shape
+    p = C.shape[1]
     count = math.comb(p, size)
     if count > EXACT_SUBSET_CAP:
         raise SizeLimitError(
             "exact search over %d subsets exceeds the cap %d; use method='greedy'"
             % (count, EXACT_SUBSET_CAP)
         )
-    tc = t - t.mean()
-    tt = float(tc @ tc)
-    if tt == 0.0:
-        raise UndefinedCorrelationError("target vector is constant")
-    Cc, norms = _center_columns(C)
-    if np.any(norms == 0.0):
-        j = int(np.flatnonzero(norms == 0.0)[0])
-        raise UndefinedCorrelationError("column %d is constant" % j)
+    Cc, tc, _, tt = _centered(C, t)
     G = Cc.T @ Cc
     g = Cc.T @ tc
     best_r2 = -1.0
@@ -249,52 +234,6 @@ def greedy_spurious_support(data, size):
     return np.array(sorted(picked), dtype=np.int64)
 
 
-def spurious_experiment(n, d_list, reps, subset_size, seed, method="greedy"):
-    """Monte Carlo distribution of r_hat and R_hat on pure-noise designs.
-
-    Each (d, replicate) pair gets its own RNG stream derived from the master
-    seed, so results do not depend on execution order. Returns an
-    ExperimentReport with the per-replicate values and their quantiles.
-    """
-    t0 = time.perf_counter()
-    d_list = [int(d) for d in d_list]
-    if not d_list or min(d_list) < 2:
-        raise ConfigurationError("d_list entries must be >= 2")
-    if reps < 1 or n < 3:
-        raise ConfigurationError("need reps >= 1 and n >= 3")
-    if subset_size > min(d_list) - 1:
-        raise ConfigurationError("subset_size must be < min(d_list)")
-    values = []
-    quantiles = []
-    summary = {}
-    qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    for d in d_list:
-        r_all = np.empty(reps)
-        R_all = np.empty(reps)
-        for rep in range(reps):
-            rng = np.random.default_rng([seed, d, rep])
-            ds = Dataset(rng.standard_normal((n, d)))
-            rep_out = max_multiple_corr(ds, subset_size, method)
-            r_all[rep] = rep_out.r_hat
-            R_all[rep] = rep_out.R_hat
-            values.append([d, rep, rep_out.r_hat, rep_out.R_hat])
-        for stat, arr in (("r_hat", r_all), ("R_hat", R_all)):
-            quantiles.append([d, stat] + [float(np.quantile(arr, q)) for q in qs])
-        summary["median_r_hat_d%d" % d] = float(np.median(r_all))
-        summary["median_R_hat_d%d" % d] = float(np.median(R_all))
-    return ExperimentReport(
-        experiment="spurious",
-        params={"n": n, "d_list": d_list, "reps": reps, "subset_size": subset_size,
-                "seed": seed, "method": method},
-        tables={
-            "values": (["d", "rep", "r_hat", "R_hat"], values),
-            "quantiles": (["d", "stat", "q05", "q25", "q50", "q75", "q95"], quantiles),
-        },
-        summary=summary,
-        wall_clock=time.perf_counter() - t0,
-    )
-
-
 def residual_variance(data, support):
     """Plug-in noise variance: RSS/(n - |S|) after OLS on the support.
 
@@ -302,20 +241,11 @@ def residual_variance(data, support):
     data; see rcv_variance for the refitted alternative.
     """
     y = data.require_y()
-    support = np.unique(np.asarray(support, dtype=np.int64)) if len(support) else \
-        np.empty(0, dtype=np.int64)
-    if support.size and (support[0] < 0 or support[-1] >= data.d):
-        raise ValidationError("support indices outside [0, %d)" % data.d)
+    support = _support_indices(support, data.d)
     if support.size >= data.n:
         raise ValidationError("support size must be smaller than n")
-    if support.size:
-        cols = data.X[:, support]
-        coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-        if rank < support.size:
-            raise SingularityError("design restricted to the support is rank deficient")
-        r = y - cols @ coef
-    else:
-        r = y
+    cols, coef = _support_lstsq(data.X, y, support)
+    r = y - cols @ coef
     sigma2 = float(r @ r) / (data.n - support.size)
     return VarianceEstimate(sigma2, "naive", int(support.size))
 
@@ -341,9 +271,7 @@ def rcv_variance(data, selector, seed):
         sel_idx = parts[own]
         fit_idx = parts[other]
         sel_ds = Dataset(data.X[sel_idx], y[sel_idx])
-        support = np.unique(np.asarray(selector(sel_ds), dtype=np.int64))
-        if support.size and (support[0] < 0 or support[-1] >= data.d):
-            raise ValidationError("selector returned indices outside [0, %d)" % data.d)
+        support = _support_indices(selector(sel_ds), data.d, "selector returned")
         if support.size >= fit_idx.size:
             raise SelectionTooLargeError(
                 "selected %d columns but the refit half has only %d rows"
@@ -425,11 +353,9 @@ def overid_check(data, fit, selected):
     resid = np.asarray(getattr(fit, "residuals", fit), dtype=np.float64)
     if resid.shape != (data.n,):
         raise ValidationError("residuals must have shape (%d,)" % data.n)
-    selected = np.unique(np.asarray(selected, dtype=np.int64))
+    selected = _support_indices(selected, data.d, "selected")
     if selected.size == 0:
         raise ValidationError("selected set is empty")
-    if selected[0] < 0 or selected[-1] >= data.d:
-        raise ValidationError("selected indices outside [0, %d)" % data.d)
     corr_x = np.empty(selected.size)
     corr_x2 = np.empty(selected.size)
     for i, j in enumerate(selected):

@@ -381,6 +381,42 @@ def dantzig_selector(spec):
     return _finish(data, beta, obj, pivots, True)
 
 
+def _support_indices(support, d, what="support"):
+    """Sorted unique column indices from `support`, each in [0, d).
+
+    Any sequence of integers is accepted, the empty one included. A boolean
+    mask or a float array raises ValidationError instead of being cast to
+    indices (a mask would turn into columns 0 and 1, 2.9 into column 2).
+    """
+    arr = np.asarray(support)
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError("%s indices must be integers, not %s" % (what, arr.dtype))
+    idx = np.unique(arr.astype(np.int64))
+    if idx[0] < 0 or idx[-1] >= d:
+        raise ValidationError("%s indices outside [0, %d)" % (what, d))
+    return idx
+
+
+def _support_lstsq(X, y, support):
+    """Least squares of y on the columns X[:, support], for checked indices.
+
+    Returns (those columns, their coefficients). Raises SingularityError
+    when the support has more columns than X has rows, or when the columns
+    are not of full rank.
+    """
+    if support.size > X.shape[0]:
+        raise SingularityError(
+            "support of size %d cannot be refit on %d rows" % (support.size, X.shape[0])
+        )
+    cols = X[:, support]
+    coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+    if rank < support.size:
+        raise SingularityError("design restricted to the support is rank deficient")
+    return cols, coef
+
+
 def ols_refit(data, support):
     """Least squares on the given support, zeros elsewhere.
 
@@ -388,20 +424,10 @@ def ols_refit(data, support):
     SingularityError otherwise. objective is the quadratic loss.
     """
     y = data.require_y()
-    support = np.unique(np.asarray(support, dtype=np.int64))
-    if support.size and (support[0] < 0 or support[-1] >= data.d):
-        raise ValidationError("support indices outside [0, %d)" % data.d)
+    support = _support_indices(support, data.d)
+    _, coef = _support_lstsq(data.X, y, support)
     beta = np.zeros(data.d)
-    if support.size:
-        if support.size > data.n:
-            raise SingularityError(
-                "support of size %d cannot be refit on %d rows" % (support.size, data.n)
-            )
-        cols = data.X[:, support]
-        coef, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-        if rank < support.size:
-            raise SingularityError("design restricted to the support is rank deficient")
-        beta[support] = coef
+    beta[support] = coef
     return _finish(data, beta, _quadratic_loss(data, beta), 1, True)
 
 
@@ -581,16 +607,18 @@ def lasso_path(data, lambda_grid):
     levels = -levels
     bound = PATH_KKT_TOL * max(1.0, float(np.linalg.norm(y)) / np.sqrt(data.n))
     betas, count, kinks, beta = _homotopy(data.X, y, levels)
+    viol = np.empty(levels.size)
     polished = 0
     for i, lam in enumerate(levels):
         if i < count:
-            if kkt_violation(data, betas[i], lam) <= bound:
+            viol[i] = kkt_violation(data, betas[i], lam)
+            if viol[i] <= bound:
                 continue
             betas[i] = _polish(data, lam, betas[i], bound)
         else:
             beta = betas[i] = _polish(data, lam, beta, bound)
+        viol[i] = kkt_violation(data, betas[i], lam)
         polished += 1
-    viol = np.array([kkt_violation(data, b, lam) for b, lam in zip(betas, levels)])
     if np.any(viol > bound):
         i = int(np.argmax(viol))
         raise SolverError(

@@ -167,6 +167,22 @@ class TestFit:
         assert code == 0
         assert steps == [0.25] * (3 * 3 + 1)  # every fold and grid value, then the final fit
 
+    def test_ista_step_is_checked_against_every_training_fold(self, tmp_path, csv_data,
+                                                              capsys):
+        # 0.6 is below 1/L of the whole 50x6 design (0.676) but above 1/L of
+        # one training fold (0.553), and every cross-validation fit checks
+        # the step against its own fold.
+        path, _ = csv_data
+        single = str(tmp_path / "single")
+        assert main(["fit", "--data", path, "--solver", "ista", "--step", "0.6",
+                     "--lambda", "0.1", "--out", single]) == 0
+        out = str(tmp_path / "o")
+        code = main(["fit", "--data", path, "--solver", "ista", "--step", "0.6",
+                     "--lambda-grid", "0.5,0.1,0.02", "--out", out])
+        assert code == 2
+        assert "exceeds 1/L" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "fit_cv.csv"))
+
     def test_exhaustive_solver(self, tmp_path, csv_data):
         path, data = csv_data
         out = str(tmp_path / "out")

@@ -25,9 +25,9 @@ from hdlab import (
     rcv_variance,
     residual_variance,
     sample_corr,
-    spurious_experiment,
     standardize,
 )
+from hdlab.experiments import spurious_correlation_experiment
 
 
 def noise_design(seed, n, d):
@@ -183,8 +183,8 @@ class TestGreedySupport:
 
 class TestSpuriousExperiment:
     def test_deterministic_and_well_formed(self):
-        a = spurious_experiment(n=20, d_list=[5, 15], reps=6, subset_size=2, seed=9)
-        b = spurious_experiment(n=20, d_list=[5, 15], reps=6, subset_size=2, seed=9)
+        a = spurious_correlation_experiment(n=20, d_list=[5, 15], reps=6, subset_size=2, seed=9)
+        b = spurious_correlation_experiment(n=20, d_list=[5, 15], reps=6, subset_size=2, seed=9)
         header, rows = a.tables["values"]
         assert header == ["d", "rep", "r_hat", "R_hat"]
         assert rows == b.tables["values"][1]
@@ -193,19 +193,19 @@ class TestSpuriousExperiment:
         assert len(a.tables["quantiles"][1]) == 4
 
     def test_medians_grow_with_dimension(self):
-        rep = spurious_experiment(n=30, d_list=[10, 200], reps=20,
-                                  subset_size=1, seed=3)
+        rep = spurious_correlation_experiment(n=30, d_list=[10, 200], reps=20,
+                                              subset_size=1, seed=3)
         assert rep.summary["median_r_hat_d200"] > rep.summary["median_r_hat_d10"]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            spurious_experiment(n=20, d_list=[], reps=5, subset_size=1, seed=0)
+            spurious_correlation_experiment(n=20, d_list=[], reps=5, subset_size=1, seed=0)
         with pytest.raises(ConfigurationError):
-            spurious_experiment(n=20, d_list=[5], reps=5, subset_size=5, seed=0)
+            spurious_correlation_experiment(n=20, d_list=[5], reps=5, subset_size=5, seed=0)
         with pytest.raises(ConfigurationError):
-            spurious_experiment(n=2, d_list=[5], reps=5, subset_size=1, seed=0)
+            spurious_correlation_experiment(n=2, d_list=[5], reps=5, subset_size=1, seed=0)
         with pytest.raises(ConfigurationError):
-            spurious_experiment(n=20, d_list=[5], reps=0, subset_size=1, seed=0)
+            spurious_correlation_experiment(n=20, d_list=[5], reps=0, subset_size=1, seed=0)
 
 
 class TestResidualVariance:
@@ -417,3 +417,36 @@ class TestOveridCheck:
             overid_check(full, resid, [4])
         with pytest.raises(ValidationError):
             overid_check(full, np.ones(3), [0])
+
+
+class TestSupportCheck:
+    """ols_refit, residual_variance, rcv_variance (on its selector's output)
+    and overid_check read a support through one check."""
+
+    def callers(self):
+        data = gen_linear(LinearModelSpec(n=40, d=6, beta={0: 1.0}), 150)
+        resid = np.random.default_rng(151).standard_normal(40)
+        return {
+            "ols_refit": lambda s: ols_refit(data, s),
+            "residual_variance": lambda s: residual_variance(data, s),
+            "rcv_variance": lambda s: rcv_variance(data, lambda ds: s, seed=0),
+            "overid_check": lambda s: overid_check(data, resid, s),
+        }
+
+    def test_mask_and_float_indices_rejected(self):
+        # Cast to int64, the mask over columns {3, 5} would name columns
+        # {0, 1}, and 2.9 would name column 2.
+        mask = np.isin(np.arange(6), [3, 5])
+        for name, call in self.callers().items():
+            for bad in (mask, [2.9]):
+                with pytest.raises(ValidationError, match="integers"):
+                    call(bad)
+            call(np.array([5, 3]))
+
+    def test_empty_support_still_accepted(self):
+        callers = self.callers()
+        assert np.all(callers["ols_refit"]([]).beta_hat == 0.0)
+        assert callers["residual_variance"]([]).support_size == 0
+        assert callers["rcv_variance"]([]).support_size == 0
+        with pytest.raises(ValidationError, match="empty"):
+            callers["overid_check"]([])

@@ -612,6 +612,23 @@ class TestLassoPath:
         assert shuffled.kinks == ordered.kinks
         assert np.all(ordered.betas[0] == 0.0)
 
+    def test_each_point_certified_once(self, monkeypatch):
+        import hdlab.solvers as solvers
+
+        data, lam_max = lasso_fold_problem(11)
+        grid = np.geomspace(lam_max, 0.01 * lam_max, 20)
+        calls = []
+        real = solvers.kkt_violation
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "kkt_violation", spy)
+        path = lasso_path(data, np.concatenate([grid, grid[::4]]))
+        assert path.polished == 0
+        assert sorted(calls, reverse=True) == list(grid)
+
     def test_requires_standardized_design(self):
         rng = np.random.default_rng(13)
         data = Dataset(rng.standard_normal((30, 5)) * 3.0 + 1.0, rng.standard_normal(30))
