@@ -2,10 +2,17 @@
 
 Both methods produce a Projection carrying a d x k basis plus a scale factor
 applied at projection time. PCA maximizes retained variance (its basis is
-orthonormal, scale 1). Random projection draws iid normal columns normalized
-to exactly unit length; since such columns shrink distances by sqrt(k/d) on
-average, the projection is rescaled by sqrt(d/k) so squared distances are
-unbiased and the two methods are comparable on the same distortion scale.
+orthonormal, scale 1) and is computed from the thin SVD of the centered data,
+so no d x d matrix is formed. Random projection draws iid normal columns
+normalized to exactly unit length; since such columns shrink distances by
+sqrt(k/d) on average, the projection is rescaled by sqrt(d/k) so squared
+distances are unbiased and the two methods are comparable on the same
+distortion scale.
+
+Distortion compares pairwise distances, which are computed in row blocks by
+the Gram formula on centered rows; pairs where that formula could lose
+accuracy to cancellation are recomputed from direct row differences (see
+pairwise_distances).
 """
 
 import math
@@ -50,24 +57,37 @@ def _fix_signs(V):
     return V
 
 
+def _require_rank(data, k):
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= min(data.n, data.d):
+        raise ConfigurationError("k must be an integer in [1, min(n, d)]")
+
+
 def pca(data, k):
     """Top-k principal directions of the column-centered data.
 
-    Computed from the eigendecomposition of the d x d sample covariance
-    (cost grows with d^3, which is the point of comparing against random
-    projection). Columns are eigenvalue-ordered, largest first, each
-    oriented so its largest-magnitude entry is positive. Requires
-    1 <= k <= min(n, d).
+    Computed from the thin SVD of the centered n x d matrix, at O(n d
+    min(n, d)) cost without forming the d x d covariance: its right singular
+    vectors are the covariance's eigenvectors. Columns are ordered by
+    singular value, largest first, each oriented so its largest-magnitude
+    entry is positive. Requires 1 <= k <= min(n, d).
     """
-    X = data.X
-    n, d = X.shape
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= min(n, d):
-        raise ConfigurationError("k must be an integer in [1, min(n, d)]")
-    Xc = X - X.mean(axis=0)
-    cov = (Xc.T @ Xc) / (n - 1) if n > 1 else Xc.T @ Xc
-    evals, evecs = np.linalg.eigh(cov)
-    V = evecs[:, ::-1][:, :k].copy()
-    return Projection(_fix_signs(V), "pca", int(k), 1.0)
+    _require_rank(data, k)
+    Xc = data.X - data.X.mean(axis=0)
+    _, _, Vt = np.linalg.svd(Xc, full_matrices=False)
+    return Projection(_fix_signs(Vt[:k].T.copy()), "pca", int(k), 1.0)
+
+
+def _covariance_pca(data, k):
+    """pca by the eigendecomposition of the d x d scatter matrix Xc'Xc.
+
+    Same directions as pca (Xc'Xc is the sample covariance times n - 1), at
+    O(n d^2 + d^3) cost. Used only by timing_trend, which measures the cost
+    of this route: the cost of PCA at large d that random projection avoids.
+    """
+    _require_rank(data, k)
+    Xc = data.X - data.X.mean(axis=0)
+    _, evecs = np.linalg.eigh(Xc.T @ Xc)
+    return Projection(_fix_signs(evecs[:, ::-1][:, :k].copy()), "pca", int(k), 1.0)
 
 
 def random_projection(data, k, seed, orthonormalize=False):
@@ -96,21 +116,64 @@ def random_projection(data, k, seed, orthonormalize=False):
     return Projection(R, "rp", int(k), math.sqrt(d / k))
 
 
-def pairwise_distances(X):
-    """Condensed Euclidean distances, computed from direct row differences.
+# Rows per block in pairwise_distances; its temporaries are O(block * (n + d)).
+_BLOCK_ROWS = 256
 
-    Slower than the Gram-matrix shortcut but free of its cancellation error,
-    which matters when asserting exact isometries.
+# Cancellation guard of pairwise_distances: a pair whose Gram value
+# d2 = |x_i|^2 + |x_j|^2 - 2<x_i, x_j> is at most _GUARD_TAU * (|x_i|^2 +
+# |x_j|^2) is recomputed from the difference of its rows.
+_GUARD_TAU = 1e-4
+
+
+def pairwise_distances(X):
+    """Condensed Euclidean distances between the rows of X (pdist order).
+
+    The rows are centered (distances do not change under translation), and
+    each block of rows is compared with every later row by the Gram formula
+    d2_ij = |x_i|^2 + |x_j|^2 - 2<x_i, x_j>, one matrix product per tile of
+    _BLOCK_ROWS x _BLOCK_ROWS rows, so no n x n or centered n x d array is
+    formed.
+
+    Error bound. With unit roundoff u = 2**-53 and g = d*u / (1 - d*u), each
+    of the three inner products of centered rows is off by at most
+    g * |x_i| * |x_j|, so the Gram value is off by at most 2g * S, where
+    S = |x_i|^2 + |x_j|^2. Wherever d2_ij <= _GUARD_TAU * S the pair is
+    recomputed from the difference of the original rows, as
+    scipy.spatial.distance.pdist does; this also makes exact duplicate rows
+    give exactly 0.0. Every other pair therefore has a relative error of at
+    most 2g / _GUARD_TAU in d2_ij and g / _GUARD_TAU in d_ij: d * 1.1e-12 at
+    _GUARD_TAU = 1e-4, a worst case that rounding errors growing like
+    sqrt(d) * u (the usual case) stay far below. As no centered row is
+    longer than the largest distance D, the absolute error is at most
+    2g * sqrt(2 / _GUARD_TAU) * D, under 1e-10 * D for d <= 3,000.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     out = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for i in range(n - 1):
-        diff = X[i + 1:] - X[i]
-        seg = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        out[pos:pos + seg.size] = seg
-        pos += seg.size
+    if n < 2:
+        return out
+    mean = X.mean(axis=0)
+    sq = np.empty(n)
+    # Last block first, so the squared norms of all later rows are known.
+    for s in reversed(range(0, n, _BLOCK_ROWS)):
+        block = X[s:s + _BLOCK_ROWS] - mean
+        sq[s:s + _BLOCK_ROWS] = np.einsum("ij,ij->i", block, block)
+        later = range(s + _BLOCK_ROWS, n, _BLOCK_ROWS)
+        gram = np.hstack([block @ block.T]
+                         + [block @ (X[t:t + _BLOCK_ROWS] - mean).T for t in later])
+        # Pairs (i, j > i) of this block, in condensed order.
+        upper = np.arange(n - s) > np.arange(block.shape[0])[:, None]
+        norms = (sq[s:s + _BLOCK_ROWS, None] + sq[None, s:])[upper]
+        d2 = norms - 2.0 * gram[upper]
+        close = np.flatnonzero(d2 <= _GUARD_TAU * norms)
+        if close.size:
+            rows, cols = np.nonzero(upper)
+            for c in range(0, close.size, _BLOCK_ROWS):
+                pick = close[c:c + _BLOCK_ROWS]
+                diff = X[s + cols[pick]] - X[s + rows[pick]]
+                d2[pick] = np.einsum("ij,ij->i", diff, diff)
+        pos = s * n - s * (s + 1) // 2
+        out[pos:pos + d2.size] = np.sqrt(d2)
     return out
 
 
@@ -159,7 +222,10 @@ def timing_trend(n, d_small, d_large, k, seed=0, repeats=3):
     """Best-of-`repeats` construction time for pca and rp at two widths.
 
     Returns {"pca": (t_small, t_large), "rp": (t_small, t_large)}. Used to
-    confirm that widening d inflates PCA cost much faster than RP cost.
+    confirm that widening d inflates PCA cost much faster than RP cost. The
+    "pca" times are those of the d x d covariance route (_covariance_pca),
+    whose cost is the one the comparison is about; pca itself uses a thin
+    SVD, whose cost grows only linearly in d once d > n.
     """
     from .data import gen_iid_gaussian
 
@@ -172,7 +238,7 @@ def timing_trend(n, d_small, d_large, k, seed=0, repeats=3):
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 if method == "pca":
-                    pca(ds, k)
+                    _covariance_pca(ds, k)
                 else:
                     random_projection(ds, k, seed)
                 best = min(best, time.perf_counter() - t0)

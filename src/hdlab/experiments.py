@@ -223,9 +223,9 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         if not usable:
             continue
         base = pca(data, max(usable))
+        Xc = data.X - data.X.mean(axis=0)
         for k in usable:
-            sliced = base.basis[:, :k]
-            red = pairwise_distances((data.X - data.X.mean(axis=0)) @ sliced)
+            red = pairwise_distances(Xc @ base.basis[:, :k])
             err_pca = median_relative_error(orig, red)
             rows.append([d, k, "pca", err_pca])
             rp = random_projection(data, k, seed=[seed, d, k])

@@ -184,6 +184,7 @@ def ista(data, penalty, step=None, tol=1e-10, max_iter=5000):
     penalty raises StepSizeError.
     """
     y = data.require_y()
+    _require_standardized(data)
     if not isinstance(penalty, PenaltySpec):
         raise ConfigurationError("penalty must be a PenaltySpec")
     X = data.X

@@ -17,7 +17,7 @@ from hdlab import (
     reconstruction_error,
     timing_trend,
 )
-from hdlab.dimred import median_relative_error
+from hdlab.dimred import _BLOCK_ROWS, _covariance_pca, median_relative_error
 
 
 def cloud(seed, n, d, scales=None):
@@ -83,6 +83,22 @@ class TestPca:
             with pytest.raises(ConfigurationError):
                 pca(data, bad)
 
+    def test_wide_data_matches_covariance_eigenvectors(self):
+        data = cloud(8, 30, 200)
+        k = 10
+        proj = pca(data, k)
+        Xc = data.X - data.X.mean(axis=0)
+        evals, evecs = np.linalg.eigh(Xc.T @ Xc / (data.n - 1))
+        variances = (Xc @ proj.basis).var(axis=0, ddof=1)
+        assert np.allclose(variances, evals[::-1][:k], rtol=1e-10, atol=0.0)
+        assert np.max(np.abs(proj.basis.T @ proj.basis - np.eye(k))) < 1e-12
+        for j in range(k):
+            v = proj.basis[:, j]
+            assert v[np.argmax(np.abs(v))] > 0
+            assert abs(float(v @ evecs[:, -1 - j])) > 1 - 1e-8
+        # timing_trend times this route; it must give the same basis.
+        assert np.max(np.abs(_covariance_pca(data, k).basis - proj.basis)) < 1e-10
+
     def test_apply_validates_width(self):
         proj = pca(cloud(7, 30, 6), 2)
         with pytest.raises(ValidationError):
@@ -146,6 +162,20 @@ class TestPairwiseDistances:
         out = pairwise_distances(X)
         assert out.shape == (10,)
         assert out[0] == 0.0
+
+    @pytest.mark.parametrize("n", [40, _BLOCK_ROWS + 37, 2 * _BLOCK_ROWS + 5])
+    def test_large_offset_close_pair_and_duplicate(self, n):
+        # Rows far from the origin and pairs far closer than the rows' spread
+        # are where the Gram formula cancels; both pairs must take the guard.
+        X = 1e6 + np.random.default_rng(32).standard_normal((n, 6))
+        X[n - 2] = X[1] + 1e-9
+        X[n - 1] = X[3]
+        out = pairwise_distances(X)
+        ref = pdist(X)
+        assert np.max(np.abs(out - ref)) <= 1e-10 * max(1.0, float(np.max(ref)))
+        pair = lambda i, j: n * i - i * (i + 1) // 2 + j - i - 1  # noqa: E731
+        assert out[pair(3, n - 1)] == 0.0
+        assert out[pair(1, n - 2)] == pytest.approx(np.linalg.norm(X[n - 2] - X[1]), rel=1e-12)
 
 
 class TestDistortion:

@@ -232,6 +232,14 @@ class TestIsta:
         with pytest.raises(ConfigurationError):
             ista(data, "soft")
 
+    def test_requires_standardized_design(self):
+        rng = np.random.default_rng(39)
+        Z = rng.standard_normal((30, 5))
+        Z = (Z - Z.mean(axis=0)) / Z.std(axis=0)
+        data = Dataset(3.0 * Z + 1.0, rng.standard_normal(30))
+        with pytest.raises(NotStandardizedError):
+            ista(data, PenaltySpec("soft", 0.1))
+
 
 class TestLla:
     def test_rejects_convex_penalty(self):
