@@ -14,6 +14,7 @@ checks.
 """
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -415,17 +416,18 @@ def _finish(rep, outdir):
 
 
 def cmd_reproduce(args):
-    cfg = read_config(args.config) if args.config else {}
-    figure = _first(args.figure, cfg.pop("figure", None))
+    kwargs = read_config(args.config) if args.config else {}
+    figure = _first(args.figure, kwargs.pop("figure", None))
     if figure is None:
         raise ConfigurationError("pass --figure or put figure=... in the config file")
     figure = str(figure)
     if figure not in _FIGURES:
         raise ConfigurationError("unknown figure %r (choose 1|2|4|11|endo)" % figure)
-    seed = _first(args.seed, cfg.pop("seed", None), 0)
-    out = _first(args.out, cfg.pop("out", None), "reports")
-    paper_scale = bool(_first(args.paper_scale, cfg.pop("paper_scale", None), False))
-    kwargs = dict(cfg)
+    seed = _first(args.seed, kwargs.pop("seed", None), 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigurationError("seed must be an integer, got %r" % (seed,))
+    out = _first(args.out, kwargs.pop("out", None), "reports")
+    paper_scale = bool(_first(args.paper_scale, kwargs.pop("paper_scale", None), False))
     for key in ("m_list", "d_list", "k_list"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
@@ -433,6 +435,10 @@ def cmd_reproduce(args):
         kwargs["seed"] = seed
     if figure == "2":
         kwargs["paper_scale"] = paper_scale
+    try:  # bind, not a name lookup: a wrapped entry taking **kwargs still runs
+        inspect.signature(_FIGURES[figure]).bind(**kwargs)
+    except TypeError as exc:
+        raise ConfigurationError("figure %s: %s" % (figure, exc)) from None
     return _finish(_FIGURES[figure](**kwargs), out)
 
 

@@ -1,11 +1,11 @@
 """Data containers, synthetic generators, and basic sample statistics.
 
 All indices in the public API are 0-based. CSV files use math-style column
-headers x1..xd plus an optional response column named ``y``.
+headers x1..xd plus an optional response column named ``y``. Every sample
+correlation in hdlab is one routine: _corr_columns of a _centered tuple.
 """
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,6 +231,32 @@ def is_standardized(X, mean_tol=1e-8, sd_tol=1e-6):
     return bool(np.max(np.abs(mu)) <= mean_tol and np.max(np.abs(sd - 1.0)) <= sd_tol)
 
 
+def _centered(X, v):
+    """(Xc, vc, squared column norms of Xc, squared norm(s) of vc) for X and
+    a target v of shape (n,) or (n, m). Raises UndefinedCorrelationError for
+    a constant target, else for the first constant column of X (its `column`).
+    """
+    # Constancy is tested on the entries too: the mean of n copies of c is
+    # not always c (three 0.1s), which leaves a nonzero centered norm.
+    vc = v - v.mean(axis=0)
+    v_sq = vc @ vc if vc.ndim == 1 else np.einsum("ij,ij->j", vc, vc)
+    if np.any((v_sq == 0.0) | np.all(v == v[0], axis=0)):
+        raise UndefinedCorrelationError("target vector is constant")
+    Xc = X - X.mean(axis=0)
+    col_sq = np.einsum("ij,ij->j", Xc, Xc)
+    bad = np.flatnonzero((col_sq == 0.0) | np.all(X == X[0], axis=0))
+    if bad.size:
+        raise UndefinedCorrelationError("column %d is constant" % bad[0], column=int(bad[0]))
+    return Xc, vc, col_sq, v_sq
+
+
+def _corr_columns(centered):
+    """Correlation of every column of X with v, given _centered(X, v): shape
+    (d,), or (d, m) for m targets; the one correlation routine of hdlab."""
+    Xc, vc, col_sq, v_sq = centered
+    return np.clip((Xc.T @ vc) / np.multiply.outer(np.sqrt(col_sq), np.sqrt(v_sq)), -1.0, 1.0)
+
+
 def sample_corr(x, y):
     """Pearson correlation of two vectors, clipped into [-1, 1].
 
@@ -242,14 +268,7 @@ def sample_corr(x, y):
         raise ValidationError("inputs must be 1-d vectors of equal length")
     if x.shape[0] < 2:
         raise ValidationError("correlation needs at least 2 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    nx = math.sqrt(float(xc @ xc))
-    ny = math.sqrt(float(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for a constant vector")
-    r = float(xc @ yc) / (nx * ny)
-    return float(min(1.0, max(-1.0, r)))
+    return float(_corr_columns(_centered(x[:, None], y))[0])
 
 
 def write_csv(data, path):

@@ -3,9 +3,9 @@ and residual-based exogeneity checks.
 
 The spurious-correlation tools quantify how strongly pure noise columns can
 mimic signal: the best single correlate of a target column, and the best
-multiple correlation achievable by a small subset. Both are fed by one shared
-correlation routine, so the subset-size-1 multiple correlation equals the
-single-column statistic exactly, replicate by replicate.
+multiple correlation achievable by a small subset. These, the endogeneity
+null and the overid moments all use the one correlation routine of data, so
+the subset-size-1 multiple correlation equals the single-column statistic.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, sample_corr
+from .data import Dataset, _centered, _corr_columns
 from .errors import (
     ConfigurationError,
     SelectionTooLargeError,
@@ -85,45 +85,20 @@ class OveridReport:
     corr_x2: np.ndarray
 
 
-def _centered(X, v):
-    """Center the columns of X and the vector v; every correlation below
-    starts here.
-
-    Returns (Xc, vc, squared column norms of Xc, squared norm of vc). Raises
-    UndefinedCorrelationError for a constant v, else for the first constant
-    column.
-    """
-    vc = v - v.mean()
-    v_sq = float(vc @ vc)
-    if v_sq == 0.0:
-        raise UndefinedCorrelationError("target vector is constant")
-    Xc = X - X.mean(axis=0)
-    col_sq = np.einsum("ij,ij->j", Xc, Xc)
-    bad = np.flatnonzero(col_sq == 0.0)
-    if bad.size:
-        raise UndefinedCorrelationError("column %d is constant" % int(bad[0]))
-    return Xc, vc, col_sq, v_sq
-
-
-def _corr_columns(X, v):
-    """Correlation of every column of X with v; the shared code path."""
-    Xc, vc, col_sq, v_sq = _centered(X, v)
-    return np.clip((Xc.T @ vc) / (np.sqrt(col_sq) * math.sqrt(v_sq)), -1.0, 1.0)
-
-
 def max_spurious_corr(data):
     """Largest |correlation| between column 0 and any other column."""
     return max_multiple_corr(data, 1).r_hat
 
 
-def _greedy_indices(C, t, size):
+def _greedy_indices(centered, size):
     """Forward selection of `size` columns of C maximizing multiple
-    correlation with t. Returns (indices in pick order, R).
+    correlation with t, given _centered(C, t). Returns (picks in order, R).
 
     Keeps an orthonormal basis of the selected columns; each step picks the
-    column whose residual direction gains the most explained variance.
+    column whose residual direction gains the most explained variance. The
+    centered columns are deflated in place, so no second n x p copy is held.
     """
-    Cres, tres, orig_sq, t_sq = _centered(C, t)
+    Cres, tres, orig_sq, t_sq = centered
     picked = []
     proj_sq = 0.0
     for step in range(size):
@@ -140,22 +115,22 @@ def _greedy_indices(C, t, size):
         coef = float(q @ tres)
         proj_sq += coef * coef
         tres = tres - coef * q
-        Cres = Cres - np.outer(q, q @ Cres)
+        Cres -= np.outer(q, q @ Cres)
         picked.append(j)
     R = math.sqrt(proj_sq) / math.sqrt(t_sq)
     return picked, float(min(1.0, R))
 
 
-def _exact_best_subset_r(C, t, size):
-    """Exhaustive multiple correlation over all subsets of the given size."""
-    p = C.shape[1]
+def _exact_best_subset_r(centered, size):
+    """Exhaustive multiple correlation of subsets of C with t, given _centered(C, t)."""
+    Cc, tc, _, tt = centered
+    p = Cc.shape[1]
     count = math.comb(p, size)
     if count > EXACT_SUBSET_CAP:
         raise SizeLimitError(
             "exact search over %d subsets exceeds the cap %d; use method='greedy'"
             % (count, EXACT_SUBSET_CAP)
         )
-    Cc, tc, _, tt = _centered(C, t)
     G = Cc.T @ Cc
     g = Cc.T @ tc
     best_r2 = -1.0
@@ -200,9 +175,8 @@ def max_multiple_corr(data, subset_size, method="greedy"):
         raise ConfigurationError("subset_size must lie in [1, d-1]")
     if method not in ("greedy", "exact"):
         raise ConfigurationError("method must be 'greedy' or 'exact'")
-    t = data.X[:, 0]
-    C = data.X[:, 1:]
-    corr = _corr_columns(C, t)
+    centered = _centered(data.X[:, 1:], data.X[:, 0])
+    corr = _corr_columns(centered)
     r_hat = float(np.max(np.abs(corr)))
     if subset_size == 1:
         j = int(np.argmax(np.abs(corr)))
@@ -210,9 +184,9 @@ def max_multiple_corr(data, subset_size, method="greedy"):
             r_hat, r_hat, np.array([j + 1], dtype=np.int64), method
         )
     if method == "greedy":
-        picked, R = _greedy_indices(C, t, subset_size)
+        picked, R = _greedy_indices(centered, subset_size)
     else:
-        picked, R = _exact_best_subset_r(C, t, subset_size)
+        picked, R = _exact_best_subset_r(centered, subset_size)
         # The best singleton expands to a feasible subset, so r_hat is a
         # valid lower bound; flooring shields the R_hat >= r_hat guarantee
         # from the different rounding of the Gram-solve route.
@@ -230,7 +204,7 @@ def greedy_spurious_support(data, size):
     y = data.require_y()
     if not 1 <= size <= data.d:
         raise ConfigurationError("size must lie in [1, d]")
-    picked, _ = _greedy_indices(data.X, y, size)
+    picked, _ = _greedy_indices(_centered(data.X, y), size)
     return np.array(sorted(picked), dtype=np.int64)
 
 
@@ -295,30 +269,35 @@ def ks_distance(a, b):
     return float(np.max(np.abs(fa - fb)))
 
 
-def endogeneity_diagnostic(data, fit, permutations, seed):
-    """Compare residual correlations against a row-permutation null.
-
-    For each column, correlate it with the residuals of `fit` (a FitResult,
-    or any residual vector). The same correlations are recomputed B times
-    with the design rows permuted against fixed residuals, pooled into a
-    null sample. tail_statistic is the KS distance between the raw and
-    pooled sets; null_tail_statistics holds each permutation's KS distance
-    against the remaining permutations, so `flagged()` can compare the
-    statistic to its own null the same way.
-    """
+def _residuals(data, fit):
+    """The residual vector of `fit` (a FitResult, or the vector itself)."""
     resid = np.asarray(getattr(fit, "residuals", fit), dtype=np.float64)
     if resid.shape != (data.n,):
         raise ValidationError("residuals must have shape (%d,)" % data.n)
+    return resid
+
+
+def endogeneity_diagnostic(data, fit, permutations, seed):
+    """Compare residual correlations against a row-permutation null.
+
+    Correlates each column with the residuals r of `fit` (a FitResult or a
+    vector), and again with the rows permuted for B permutations. As
+    corr(X[rows_b], r) = corr(X, s_b) with s_b[rows_b] = r, the B vectors s_b
+    form one n x B target, so the null centers X once, not B times, and
+    copies no rows. tail_statistic is the KS distance between raw and pooled
+    permuted correlations; each entry of null_tail_statistics is one
+    permutation's against the others, so `flagged()` compares the statistic
+    to its own null.
+    """
+    resid = _residuals(data, fit)
     if not isinstance(permutations, (int, np.integer)) or permutations < 2:
         raise ConfigurationError("permutations must be an integer >= 2")
-    raw = _corr_columns(data.X, resid)
+    raw = _corr_columns(_centered(data.X, resid))
     B = int(permutations)
-    n, d = data.n, data.d
-    perm_corr = np.empty((B, d))
+    shuffled = np.empty((data.n, B))
     for b in range(B):
-        rng = np.random.default_rng([seed, b])
-        rows = rng.permutation(n)
-        perm_corr[b] = _corr_columns(data.X[rows], resid)
+        shuffled[np.random.default_rng([seed, b]).permutation(data.n), b] = resid
+    perm_corr = _corr_columns(_centered(data.X, shuffled)).T
     pooled = perm_corr.ravel()
     tail = ks_distance(raw, pooled)
     return EndogeneityReport(raw, pooled, tail, B, _leave_one_out_ks(perm_corr))
@@ -350,15 +329,17 @@ def overid_check(data, fit, selected):
     Both moments should vanish for exogenous noise; a large corr_x2 with a
     small corr_x points at coupling through the second moment.
     """
-    resid = np.asarray(getattr(fit, "residuals", fit), dtype=np.float64)
-    if resid.shape != (data.n,):
-        raise ValidationError("residuals must have shape (%d,)" % data.n)
+    resid = _residuals(data, fit)
     selected = _support_indices(selected, data.d, "selected")
     if selected.size == 0:
         raise ValidationError("selected set is empty")
-    corr_x = np.empty(selected.size)
-    corr_x2 = np.empty(selected.size)
-    for i, j in enumerate(selected):
-        corr_x[i] = sample_corr(data.X[:, j], resid)
-        corr_x2[i] = sample_corr(data.X[:, j] ** 2, resid)
-    return OveridReport(selected, corr_x, corr_x2)
+    cols = data.X[:, selected]
+    moments = []
+    for M, name in ((cols, "column %d"), (cols ** 2, "square of column %d")):
+        try:
+            moments.append(_corr_columns(_centered(M, resid)))
+        except UndefinedCorrelationError as exc:
+            if exc.column is None:
+                raise
+            raise UndefinedCorrelationError(name % selected[exc.column] + " is constant") from None
+    return OveridReport(selected, *moments)

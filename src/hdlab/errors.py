@@ -15,7 +15,11 @@ class DegenerateColumnError(ValidationError):
 
 
 class UndefinedCorrelationError(ValidationError):
-    """Correlation requested against a zero-variance vector."""
+    """Correlation against a zero-variance vector; `column` is None for the target."""
+
+    def __init__(self, message, column=None):
+        super().__init__(message)
+        self.column = column
 
 
 class UndefinedMetricError(ValidationError):

@@ -440,6 +440,20 @@ class TestReproduce:
                     open(os.path.join(b, name), "rb") as fb:
                 assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("body, names", [
+        ("figure=2\nn=10\nd_list=4\nreps=2\nbogus_key=3\n", "bogus_key"),
+        ("figure=endo\nseed=1.5\n", "seed"),
+        ("figure=endo\nseed=true\n", "seed"),
+    ], ids=["unknown-key", "float-seed", "bool-seed"])
+    def test_bad_config_key_is_invalid_input(self, tmp_path, capsys, body, names):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(body)
+        out = tmp_path / "o"
+        assert main(["reproduce", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+        assert not out.exists()
+
 
 class TestConfigParsing:
     def test_read_config(self, tmp_path):

@@ -18,6 +18,7 @@ from hdlab import (
     standardize,
     write_csv,
 )
+from hdlab.data import _centered, _corr_columns
 
 
 class TestDataset:
@@ -194,6 +195,44 @@ class TestSampleCorr:
             sample_corr(np.ones(3), np.ones(4))
         with pytest.raises(ValidationError):
             sample_corr(np.ones(1), np.ones(1))
+
+
+class TestCorrColumns:
+    """_corr_columns of a _centered tuple is the one correlation routine."""
+
+    def test_matrix_target_matches_vector_calls(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 7)) + 3.0
+        V = rng.standard_normal((30, 4)) - 1.0
+        got = _corr_columns(_centered(X, V))
+        assert got.shape == (7, 4)
+        for k in range(4):
+            want = _corr_columns(_centered(X, V[:, k]))
+            assert np.max(np.abs(got[:, k] - want)) <= 1e-15
+            assert sample_corr(X[:, 2], V[:, k]) == pytest.approx(want[2], abs=1e-15)
+
+    def test_constant_target_or_column(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((10, 3))
+        V = rng.standard_normal((10, 2))
+        V[:, 1] = 2.0
+        with pytest.raises(UndefinedCorrelationError, match="target") as exc:
+            _corr_columns(_centered(X, V))
+        assert exc.value.column is None
+        X[:, 2] = -1.0
+        with pytest.raises(UndefinedCorrelationError, match="column 2") as exc:
+            _corr_columns(_centered(X, V[:, 0]))
+        assert exc.value.column == 2
+
+    def test_constant_whose_mean_rounds_away(self):
+        # Three 0.1s have mean 0.10000000000000002, so centering leaves
+        # nonzero entries; the vector is still constant.
+        x = np.full(3, 0.1)
+        assert x.mean() != 0.1
+        with pytest.raises(UndefinedCorrelationError):
+            sample_corr(x, np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(UndefinedCorrelationError):
+            sample_corr(np.array([1.0, 2.0, 4.0]), x)
 
 
 class TestCsv:

@@ -27,6 +27,7 @@ from hdlab import (
     sample_corr,
     standardize,
 )
+from hdlab.data import _centered, _corr_columns
 from hdlab.experiments import spurious_correlation_experiment
 
 
@@ -353,6 +354,21 @@ class TestEndogeneityDiagnostic:
                 for b in range(7)]
         assert np.array_equal(rep.null_tail_statistics, want)
 
+    def test_permuted_correlations_match_row_permuted_designs(self):
+        # The null correlates X[rows_b] with the residuals for each
+        # permutation b; this loop is that definition, with the same seeds.
+        rng = np.random.default_rng(95)
+        X = rng.standard_normal((60, 15)) * 4.0 + 2.0
+        resid = rng.standard_normal(60)
+        seed = [7, 1, 2]
+        rep = endogeneity_diagnostic(Dataset(X), resid, 12, seed=seed)
+        want = np.empty((12, 15))
+        for b in range(12):
+            rows = np.random.default_rng([seed, b]).permutation(60)
+            want[b] = _corr_columns(_centered(X[rows], resid))
+        assert np.max(np.abs(rep.permuted_correlations - want.ravel())) <= 1e-15
+        assert np.array_equal(rep.raw_correlations, _corr_columns(_centered(X, resid)))
+
     def test_exchangeable_residuals_rarely_flag(self):
         flags = 0
         for seed in range(10):
@@ -417,6 +433,20 @@ class TestOveridCheck:
             overid_check(full, resid, [4])
         with pytest.raises(ValidationError):
             overid_check(full, np.ones(3), [0])
+
+    @pytest.mark.parametrize("value", [1.0, 0.7])
+    def test_constant_moment_names_the_original_column(self, value):
+        # With 0.7 the mean of the constant square 0.49 is not 0.49 in floating
+        # point, so the centered column is tiny but not zero.
+        rng = np.random.default_rng(142)
+        X = rng.standard_normal((30, 5))
+        X[:, 2] = rng.choice([-value, value], 30)  # varies, but its square is constant
+        X[:, 4] = 3.0
+        resid = rng.standard_normal(30)
+        with pytest.raises(UndefinedCorrelationError, match="square of column 2 "):
+            overid_check(Dataset(X), resid, [0, 2])
+        with pytest.raises(UndefinedCorrelationError, match="^column 4 "):
+            overid_check(Dataset(X), resid, [1, 4])
 
 
 class TestSupportCheck:
