@@ -7,10 +7,12 @@ Subcommands:
   reduce     pca / random-projection dimension reduction of a CSV dataset
   reproduce  canned experiments by id (1, 2, 4, 11, endo)
 
-Every command writes CSV artifacts (plus SVG companions where a picture
-helps) into --out. Exit status: 0 on success, 2 on invalid input or solver
-failure, 3 when a reproduce or diagnose run fails one of its built-in sanity
-checks.
+Every command writes CSV artifacts into --out. reproduce and diagnose run
+an experiment from experiments.py, write its report and draw the figures the
+report carries; reproduce passes an experiment only the settings given by a
+flag or a config key, and one it does not take is invalid input. Exit
+status: 0 on success, 2 on invalid input or solver failure, 3 when a
+reproduce or diagnose run fails one of its built-in sanity checks.
 """
 
 import argparse
@@ -303,98 +305,12 @@ def _sanity(rep):
     return problems
 
 
-def _hist_by_group(rows, key_idx, val_idx, prefix=""):
-    groups = {}
-    for row in rows:
-        groups.setdefault("%s%s" % (prefix, row[key_idx]), []).append(float(row[val_idx]))
-    return groups
-
-
 def _draw(rep, outdir):
-    """Write the report's SVG companions next to its tables."""
-    if rep.experiment == "noise_accumulation":
-        _, sep_rows = rep.tables["separation"]
-        ms = [r[0] for r in sep_rows]
-        line_chart_svg(
-            {"selected space": (ms, [r[1] for r in sep_rows]),
-             "2-d projection": (ms, [r[2] for r in sep_rows])},
-            os.path.join(outdir, "noise_accumulation_separation.svg"),
-            title="class separation vs number of features", xlabel="m",
-            ylabel="separation")
-        _, proj_rows = rep.tables["projections"]
-        for m in ms:
-            groups = {"class 0": ([], []), "class 1": ([], [])}
-            for row in proj_rows:
-                if row[0] == m:
-                    g = groups["class %d" % row[2]]
-                    g[0].append(row[3])
-                    g[1].append(row[4])
-            scatter_svg(groups,
-                        os.path.join(outdir, "noise_accumulation_m%d.svg" % m),
-                        title="first two principal components, m=%d" % m,
-                        xlabel="pc1", ylabel="pc2")
-    elif rep.experiment == "spurious":
-        _, rows = rep.tables["values"]
-        histogram_svg(_hist_by_group(rows, 0, 2, "d="),
-                      os.path.join(outdir, "spurious_r_hat.svg"),
-                      title="max single-column correlation (null data)", xlabel="r_hat")
-        histogram_svg(_hist_by_group(rows, 0, 3, "d="),
-                      os.path.join(outdir, "spurious_R_hat.svg"),
-                      title="max multiple correlation, subsets of %d"
-                            % rep.params["subset_size"],
-                      xlabel="R_hat")
-    elif rep.experiment == "penalty_curves":
-        _, rows = rep.tables["curves"]
-        series = {}
-        for label, t, v in rows:
-            series.setdefault(label, ([], []))
-            series[label][0].append(t)
-            series[label][1].append(v)
-        line_chart_svg(series, os.path.join(outdir, "penalty_curves.svg"),
-                       title="penalty functions", xlabel="t", ylabel="P(t)")
-    elif rep.experiment == "projection_error":
-        _, rows = rep.tables["errors"]
-        for d in sorted({r[0] for r in rows}):
-            series = {}
-            for dd, k, method, err in rows:
-                if dd == d:
-                    series.setdefault(method, ([], []))
-                    series[method][0].append(k)
-                    series[method][1].append(err)
-            line_chart_svg(series,
-                           os.path.join(outdir, "projection_error_d%d.svg" % d),
-                           title="median distance distortion, d=%d" % d,
-                           xlabel="k", ylabel="median relative error")
-    elif rep.experiment == "variance":
-        _, rows = rep.tables["estimates"]
-        arr = np.asarray([r[1:] for r in rows], dtype=np.float64)
-        histogram_svg({"dredged support": arr[:, 0], "fixed support": arr[:, 1],
-                       "refitted cv": arr[:, 2]},
-                      os.path.join(outdir, "variance_estimates.svg"),
-                      title="noise variance estimates (truth %.3g)" % rep.summary["truth"],
-                      xlabel="sigma^2 estimate")
-    elif rep.experiment == "endogeneity":
-        _, rows = rep.tables["correlations"]
-        for scenario in ("planted", "exogenous"):
-            groups = {}
-            for row in rows:
-                if row[0] == scenario:
-                    groups.setdefault(row[1], []).append(float(row[2]))
-            if groups:
-                histogram_svg(groups,
-                              os.path.join(outdir, "endogeneity_%s.svg" % scenario),
-                              title="residual correlations, %s scenario" % scenario,
-                              xlabel="correlation")
-        _, orows = rep.tables["overid"]
-        if orows:
-            groups = {}
-            for row in orows:
-                groups.setdefault(row[0], ([], []))
-                groups[row[0]][0].append(float(row[2]))
-                groups[row[0]][1].append(float(row[3]))
-            scatter_svg(groups, os.path.join(outdir, "overid_moments.svg"),
-                        title="selected columns: residual moment correlations",
-                        xlabel="corr(X_j, resid)", ylabel="corr(X_j^2, resid)")
+    """Write the report's figures next to its tables."""
+    # Looked up per call, so a replaced cli.histogram_svg (say) is the one used.
+    plot = {"histogram": histogram_svg, "line": line_chart_svg, "scatter": scatter_svg}
+    for kind, filename, data, labels in rep.figures:
+        plot[kind](data, os.path.join(outdir, filename), **labels)
 
 
 def _finish(rep, outdir):
@@ -423,18 +339,18 @@ def cmd_reproduce(args):
     figure = str(figure)
     if figure not in _FIGURES:
         raise ConfigurationError("unknown figure %r (choose 1|2|4|11|endo)" % figure)
-    seed = _first(args.seed, kwargs.pop("seed", None), 0)
+    out = _first(args.out, kwargs.pop("out", None), "reports")
+    # A flag wins over its config key; an experiment that does not take the
+    # setting fails the bind below, so nothing the user gave is dropped.
+    for key, flag in (("seed", args.seed), ("paper_scale", args.paper_scale)):
+        if flag is not None:
+            kwargs[key] = flag
+    seed = kwargs.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigurationError("seed must be an integer, got %r" % (seed,))
-    out = _first(args.out, kwargs.pop("out", None), "reports")
-    paper_scale = bool(_first(args.paper_scale, kwargs.pop("paper_scale", None), False))
     for key in ("m_list", "d_list", "k_list"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
-    if figure != "4":
-        kwargs["seed"] = seed
-    if figure == "2":
-        kwargs["paper_scale"] = paper_scale
     try:  # bind, not a name lookup: a wrapped entry taking **kwargs still runs
         inspect.signature(_FIGURES[figure]).bind(**kwargs)
     except TypeError as exc:

@@ -34,6 +34,19 @@ from .report import ExperimentReport
 from .solvers import coord_descent_l1, cross_validate, ols_refit
 
 
+def _require_ints(**params):
+    """Raise ConfigurationError unless each value, or each entry of a list,
+    tuple or array value, is an int or np.integer; a bool is not an integer.
+
+    These are counts and sizes, so a float is rejected, never truncated.
+    """
+    for name, value in params.items():
+        entries = value if isinstance(value, (list, tuple, np.ndarray)) else (value,)
+        for v in entries:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigurationError("%s: %r is not an integer" % (name, v))
+
+
 def _separation(X, labels):
     """Between-centroid distance over mean within-class spread."""
     A = X[labels == 0.0]
@@ -74,6 +87,7 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
     m-dimensional kept space, and the same score on the 2-d projection.
     """
     t0 = time.perf_counter()
+    _require_ints(m_list=m_list, n_per_class=n_per_class, d=d, signal_count=signal_count)
     if rank_by not in ("index", "t_stat"):
         raise ConfigurationError("rank_by must be 'index' or 't_stat'")
     m_list = [int(m) for m in m_list]
@@ -92,6 +106,7 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
     sep_rows = []
     proj_rows = []
     summary = {}
+    figures = []
     for m in m_list:
         if rank_by == "index":
             cols = np.arange(m)
@@ -106,6 +121,16 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
         summary["separation_m%d" % m] = sep_m
         for i in range(scores.shape[0]):
             proj_rows.append([m, i, int(labels[i]), scores[i, 0], scores[i, 1]])
+        figures.append(("scatter", "noise_accumulation_m%d.svg" % m,
+                        {"class %d" % c: (scores[labels == c, 0], scores[labels == c, 1])
+                         for c in (0, 1)},
+                        {"title": "first two principal components, m=%d" % m,
+                         "xlabel": "pc1", "ylabel": "pc2"}))
+    figures.append(("line", "noise_accumulation_separation.svg",
+                    {"selected space": (m_list, [r[1] for r in sep_rows]),
+                     "2-d projection": (m_list, [r[2] for r in sep_rows])},
+                    {"title": "class separation vs number of features",
+                     "xlabel": "m", "ylabel": "separation"}))
     return ExperimentReport(
         experiment="noise_accumulation",
         params={"m_list": m_list, "n_per_class": n_per_class, "d": d,
@@ -117,6 +142,7 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
         },
         summary=summary,
         wall_clock=time.perf_counter() - t0,
+        figures=figures,
     )
 
 
@@ -131,6 +157,7 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
     seconds while leaving the medians stable.
     """
     t0 = time.perf_counter()
+    _require_ints(n=n, d_list=d_list, reps=reps, subset_size=subset_size)
     reps = 1000 if paper_scale else reps
     d_list = [int(d) for d in d_list]
     if not d_list or min(d_list) < 2:
@@ -142,6 +169,7 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
     values = []
     quantiles = []
     summary = {}
+    r_groups, R_groups = {}, {}
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     for d in d_list:
         r_all = np.empty(reps)
@@ -155,6 +183,8 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
             values.append([d, rep, rep_out.r_hat, rep_out.R_hat])
         for stat, arr in (("r_hat", r_all), ("R_hat", R_all)):
             quantiles.append([d, stat] + [float(np.quantile(arr, q)) for q in qs])
+        r_groups.setdefault("d=%d" % d, []).extend(r_all)
+        R_groups.setdefault("d=%d" % d, []).extend(R_all)
         summary["median_r_hat_d%d" % d] = float(np.median(r_all))
         summary["median_R_hat_d%d" % d] = float(np.median(R_all))
     return ExperimentReport(
@@ -167,11 +197,19 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
         },
         summary=summary,
         wall_clock=time.perf_counter() - t0,
+        figures=[
+            ("histogram", "spurious_r_hat.svg", r_groups,
+             {"title": "max single-column correlation (null data)", "xlabel": "r_hat"}),
+            ("histogram", "spurious_R_hat.svg", R_groups,
+             {"title": "max multiple correlation, subsets of %d" % subset_size,
+              "xlabel": "R_hat"}),
+        ],
     )
 
 
 def penalty_curves(lam=1.0, t_min=-3.0, t_max=3.0, points=601):
     """Penalty value curves on a sign-symmetric grid for the whole family."""
+    _require_ints(points=points)
     if points < 2:
         raise ConfigurationError("points must be >= 2")
     t0 = time.perf_counter()
@@ -187,17 +225,21 @@ def penalty_curves(lam=1.0, t_min=-3.0, t_max=3.0, points=601):
         PenaltySpec("mcp", lam, 100.0),
     ]
     rows = []
+    series = {}
     for spec in specs:
         values = penalty_value(spec, grid)
         label = spec.label()
         for t, v in zip(grid, values):
             rows.append([label, t, v])
+        series[label] = (grid, values)
     return ExperimentReport(
         experiment="penalty_curves",
         params={"lam": lam, "t_min": t_min, "t_max": t_max, "points": points},
         tables={"curves": (["penalty", "t", "value"], rows)},
         summary={"n_penalties": len(specs)},
         wall_clock=time.perf_counter() - t0,
+        figures=[("line", "penalty_curves.svg", series,
+                  {"title": "penalty functions", "xlabel": "t", "ylabel": "P(t)"})],
     )
 
 
@@ -210,12 +252,14 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
     rank). One dataset is drawn per d; both methods see the same data.
     """
     t0 = time.perf_counter()
+    _require_ints(d_list=d_list, k_list=k_list, n=n, spike_count=spike_count)
     d_list = [int(d) for d in d_list]
     k_list = [int(k) for k in k_list]
     if min(k_list) < 1:
         raise ConfigurationError("k values must be >= 1")
     rows = []
     summary = {}
+    curves = {}   # d -> method -> (k values, errors)
     for d in d_list:
         data = gen_spiked(n, d, min(spike_count, d), spike_sd, seed=[seed, d])
         orig = pairwise_distances(data.X)
@@ -224,6 +268,7 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
             continue
         base = pca(data, max(usable))
         Xc = data.X - data.X.mean(axis=0)
+        series = curves.setdefault(d, {"pca": ([], []), "rp": ([], [])})
         for k in usable:
             red = pairwise_distances(Xc @ base.basis[:, :k])
             err_pca = median_relative_error(orig, red)
@@ -232,6 +277,9 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
             err_rp = median_relative_error(orig, pairwise_distances(rp.apply(data.X)))
             rows.append([d, k, "rp", err_rp])
             summary["d%d_k%d" % (d, k)] = "pca=%.4f,rp=%.4f" % (err_pca, err_rp)
+            for method, err in (("pca", err_pca), ("rp", err_rp)):
+                series[method][0].append(k)
+                series[method][1].append(err)
     return ExperimentReport(
         experiment="projection_error",
         params={"d_list": d_list, "k_list": k_list, "n": n,
@@ -239,6 +287,9 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         tables={"errors": (["d", "k", "method", "median_relative_error"], rows)},
         summary=summary,
         wall_clock=time.perf_counter() - t0,
+        figures=[("line", "projection_error_d%d.svg" % d, curves[d],
+                  {"title": "median distance distortion, d=%d" % d, "xlabel": "k",
+                   "ylabel": "median relative error"}) for d in sorted(curves)],
     )
 
 
@@ -253,6 +304,7 @@ def variance_experiment(seed=0, n=60, d=800, reps=500, support_size=4, noise_sd=
     toward zero while the other two stay centered.
     """
     t0 = time.perf_counter()
+    _require_ints(n=n, d=d, reps=reps, support_size=support_size)
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
     if not 1 <= support_size < n // 2:
@@ -285,6 +337,11 @@ def variance_experiment(seed=0, n=60, d=800, reps=500, support_size=4, noise_sd=
         tables={"estimates": (["rep", "dredged_support", "fixed_support", "rcv"], rows)},
         summary=summary,
         wall_clock=time.perf_counter() - t0,
+        figures=[("histogram", "variance_estimates.svg",
+                  {"dredged support": arr[:, 0], "fixed support": arr[:, 1],
+                   "refitted cv": arr[:, 2]},
+                  {"title": "noise variance estimates (truth %.3g)" % truth,
+                   "xlabel": "sigma^2 estimate"})],
     )
 
 
@@ -300,6 +357,8 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
     control uses the same layout with no coupling.
     """
     t0 = time.perf_counter()
+    _require_ints(n=n, d=d, support_size=support_size, coupled_count=coupled_count,
+                  permutations=permutations, folds=folds, grid_size=grid_size)
     if not (np.isfinite(noise_sd) and noise_sd > 0):
         raise ValidationError("noise_sd must be > 0: with zero noise the residual "
                               "correlations are undefined")
@@ -309,6 +368,8 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
     summary_rows = []
     overid_rows = []
     summary = {}
+    figures = []
+    moments = {}  # scenario -> (corr_x, corr_x2) of its selected columns
     for idx, (scenario, w) in enumerate((("planted", coupling), ("exogenous", 0.0))):
         endo = {support_size + j: w for j in range(coupled_count)} if w else {}
         spec = LinearModelSpec(
@@ -331,11 +392,21 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
             corr_rows.append([scenario, "raw", float(v)])
         for v in diag.permuted_correlations:
             corr_rows.append([scenario, "permuted", float(v)])
+        figures.append(("histogram", "endogeneity_%s.svg" % scenario,
+                        {"raw": diag.raw_correlations,
+                         "permuted": diag.permuted_correlations},
+                        {"title": "residual correlations, %s scenario" % scenario,
+                         "xlabel": "correlation"}))
         if fit.active_set.size:
             refit = ols_refit(data, fit.active_set)
             over = overid_check(data, refit, fit.active_set)
             for j, cx, cx2 in zip(over.selected, over.corr_x, over.corr_x2):
                 overid_rows.append([scenario, int(j), float(cx), float(cx2)])
+            moments[scenario] = (over.corr_x, over.corr_x2)
+    if moments:
+        figures.append(("scatter", "overid_moments.svg", moments,
+                        {"title": "selected columns: residual moment correlations",
+                         "xlabel": "corr(X_j, resid)", "ylabel": "corr(X_j^2, resid)"}))
     return ExperimentReport(
         experiment="endogeneity",
         params={"seed": seed, "n": n, "d": d, "support_size": support_size,
@@ -350,4 +421,5 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
         },
         summary=summary,
         wall_clock=time.perf_counter() - t0,
+        figures=figures,
     )

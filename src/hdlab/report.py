@@ -42,13 +42,19 @@ def write_kv(path, pairs):
 class ExperimentReport:
     """experiment: short id; params: full input parameterization;
     tables: name -> (header, rows); summary: headline numbers;
-    wall_clock: seconds spent producing the report."""
+    wall_clock: seconds spent producing the report; figures: the SVG
+    companions as (kind, filename, data, labels) entries, where kind is
+    "histogram", "line" or "scatter", data is the dict the matching svgplot
+    function draws and labels holds its title/xlabel/ylabel keywords. The
+    experiment fills figures from the arrays behind its tables; `write`
+    leaves them out, and the CLI draws them."""
 
     experiment: str
     params: dict
     tables: dict
     summary: dict = field(default_factory=dict)
     wall_clock: float = 0.0
+    figures: list = field(default_factory=list)
 
     def table(self, name):
         header, rows = self.tables[name]

@@ -162,6 +162,21 @@ class TestProjectionErrorExperiment:
         with pytest.raises(ConfigurationError):
             projection_error_experiment(k_list=(0, 5))
 
+    def test_numpy_integer_counts_are_accepted(self):
+        a = projection_error_experiment(d_list=np.array([30]), k_list=(np.int64(5),),
+                                        n=np.int32(20), seed=2)
+        b = projection_error_experiment(d_list=(30,), k_list=(5,), n=20, seed=2)
+        assert a.table("errors")[1] == b.table("errors")[1]
+
+    @pytest.mark.parametrize("kw", [dict(n=20.0), dict(k_list=(5, True)),
+                                    dict(d_list=(30.5,))],
+                             ids=["float-n", "bool-k", "float-d"])
+    def test_non_integer_counts_are_rejected(self, kw):
+        args = dict(d_list=(30,), k_list=(5,), n=20)
+        args.update(kw)
+        with pytest.raises(ConfigurationError, match=next(iter(kw))):
+            projection_error_experiment(**args)
+
 
 class TestVarianceExperiment:
     def test_dredging_bias_shows_up(self):
