@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import kernels
-from .data import read_csv, standardize
+from .data import is_int, read_csv, standardize
 from .errors import ConfigurationError, ValidationError
 from .experiments import (
     endogeneity_experiment,
@@ -105,6 +105,10 @@ def _solver(args):
 
 def cmd_fit(args):
     t0 = time.perf_counter()
+    if args.gamma_n is not None and (args.lam is not None or args.lambda_grid is not None):
+        raise ConfigurationError(
+            "--gamma-n is the dantzig radius, as --lambda is; do not combine it "
+            "with --lambda or --lambda-grid")
     solve = _solver(args)
     data = _load_data(args, need_y=True)
     os.makedirs(args.out, exist_ok=True)
@@ -119,19 +123,15 @@ def cmd_fit(args):
         extras["lambda_star"] = lam
     elif args.lam is not None:
         lam = args.lam
-    elif args.solver == "dantzig":
-        lam = 0.0  # unused; gamma_n drives the fit
-    else:
+    elif args.solver != "dantzig":
         raise ConfigurationError("pass --lambda or --lambda-grid")
-    if args.solver == "dantzig":
-        # The radius: --gamma-n, else lambda* from the grid, else the default.
-        gamma_n = _first(args.gamma_n, extras.get("lambda_star"))
-        if gamma_n is None:
-            gamma_n = default_gamma_n(data, args.gamma_n_scale)
-        extras["gamma_n"] = gamma_n
-        fit = solve(data, gamma_n, None)
+    elif args.gamma_n is not None:
+        lam = args.gamma_n
     else:
-        fit = solve(data, lam, None)
+        lam = default_gamma_n(data, args.gamma_n_scale)
+    if args.solver == "dantzig":
+        extras["gamma_n"] = lam
+    fit = solve(data, lam, None)
     if args.solver == "cd":
         extras["kkt_violation"] = kkt_violation(data, fit.beta_hat, lam)
 
@@ -346,7 +346,7 @@ def cmd_reproduce(args):
         if flag is not None:
             kwargs[key] = flag
     seed = kwargs.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not is_int(seed):
         raise ConfigurationError("seed must be an integer, got %r" % (seed,))
     for key in ("m_list", "d_list", "k_list"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
@@ -374,9 +374,11 @@ def build_parser():
     p_fit.add_argument("--gamma", type=float, default=None,
                        help="penalty gamma when not given inline")
     p_fit.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="penalty strength")
+                       help="penalty strength; with --solver dantzig, the "
+                            "constraint radius gamma_n")
     p_fit.add_argument("--lambda-grid", default=None,
-                       help="comma-separated grid for cross-validation")
+                       help="comma-separated grid for cross-validation; with "
+                            "--solver dantzig, a grid of radii")
     p_fit.add_argument("--cv-folds", type=int, default=5)
     p_fit.add_argument("--solver", default="cd",
                        choices=["cd", "ista", "lla", "dantzig", "l0"])
@@ -391,10 +393,13 @@ def build_parser():
                             "X'X/n (1/L when omitted); with --lambda-grid it must "
                             "not exceed 1/L of any training fold either")
     p_fit.add_argument("--gamma-n", type=float, default=None,
-                       help="dantzig constraint radius")
+                       help="dantzig constraint radius, the same setting as "
+                            "--lambda: give one of --gamma-n, --lambda and "
+                            "--lambda-grid")
     p_fit.add_argument("--gamma-n-scale", type=float, default=1.0,
                        help="scale on the default dantzig radius, "
-                            "sd(y) * sqrt(2 * n * log(d))")
+                            "sd(y) * sqrt(2 * n * log(d)), used when no radius "
+                            "is given")
     p_fit.add_argument("--standardize", action="store_true",
                        help="standardize columns before fitting")
     p_fit.add_argument("--out", default="hdlab_out")

@@ -231,6 +231,11 @@ def is_standardized(X, mean_tol=1e-8, sd_tol=1e-6):
     return bool(np.max(np.abs(mu)) <= mean_tol and np.max(np.abs(sd - 1.0)) <= sd_tol)
 
 
+def is_int(v):
+    """True for an int or np.integer count; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _centered(X, v):
     """(Xc, vc, squared column norms of Xc, squared norm(s) of vc) for X and
     a target v of shape (n,) or (n, m). Raises UndefinedCorrelationError for

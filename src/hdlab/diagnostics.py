@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _centered, _corr_columns
+from .data import Dataset, _centered, _corr_columns, is_int
 from .errors import (
     ConfigurationError,
     SelectionTooLargeError,
@@ -290,7 +290,7 @@ def endogeneity_diagnostic(data, fit, permutations, seed):
     to its own null.
     """
     resid = _residuals(data, fit)
-    if not isinstance(permutations, (int, np.integer)) or permutations < 2:
+    if not is_int(permutations) or permutations < 2:
         raise ConfigurationError("permutations must be an integer >= 2")
     raw = _corr_columns(_centered(data.X, resid))
     B = int(permutations)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_int
 from .errors import ConfigurationError, UndefinedMetricError, ValidationError
 
 
@@ -58,7 +59,7 @@ def _fix_signs(V):
 
 
 def _require_rank(data, k):
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= min(data.n, data.d):
+    if not is_int(k) or not 1 <= k <= min(data.n, data.d):
         raise ConfigurationError("k must be an integer in [1, min(n, d)]")
 
 
@@ -99,7 +100,7 @@ def random_projection(data, k, seed, orthonormalize=False):
     shrinkage. Needs k <= d only when orthonormalizing.
     """
     d = data.d
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not is_int(k) or k < 1:
         raise ConfigurationError("k must be a positive integer")
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((d, k))

@@ -31,7 +31,7 @@ class NotStandardizedError(ValidationError):
 
 
 class SizeLimitError(ValidationError):
-    """Problem size exceeds the cap for an exhaustive method."""
+    """Problem size exceeds the cap of an exhaustive or dense method."""
 
 
 class ConfigurationError(ValidationError):

@@ -17,6 +17,7 @@ from .data import (
     gen_linear,
     gen_spiked,
     gen_two_class,
+    is_int,
     standardize,
 )
 from .diagnostics import (
@@ -36,14 +37,14 @@ from .solvers import coord_descent_l1, cross_validate, ols_refit
 
 def _require_ints(**params):
     """Raise ConfigurationError unless each value, or each entry of a list,
-    tuple or array value, is an int or np.integer; a bool is not an integer.
+    tuple or array value, is an integer by data.is_int.
 
     These are counts and sizes, so a float is rejected, never truncated.
     """
     for name, value in params.items():
         entries = value if isinstance(value, (list, tuple, np.ndarray)) else (value,)
         for v in entries:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not is_int(v):
                 raise ConfigurationError("%s: %r is not an integer" % (name, v))
 
 

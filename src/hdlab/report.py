@@ -17,6 +17,8 @@ import numpy as np
 def _cell(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_standardized
+from .data import is_int, is_standardized
 from .errors import ConfigurationError, NotStandardizedError
 
 
@@ -59,7 +59,7 @@ def sis_select(data, delta=None, top_k=None):
     else:
         if top_k is None:
             top_k = default_top_k(data.n, data.d)
-        if not isinstance(top_k, (int, np.integer)) or not 1 <= top_k <= data.d:
+        if not is_int(top_k) or not 1 <= top_k <= data.d:
             raise ConfigurationError("top_k must be an integer in [1, d]")
         order = np.lexsort((np.arange(data.d), -mag))
         survivors = np.sort(order[:top_k])

@@ -3,10 +3,15 @@
 Solves   minimize c'x  subject to  A x <= b,  x >= 0.
 
 Written for the moderate problem sizes this package produces (a few thousand
-variables at most). Bland's smallest-index rule is used for both the entering
-and the leaving choice, which rules out cycling; the price is extra pivots,
-irrelevant at this scale. Pivot elements smaller than EPS in magnitude are
-treated as zero.
+variables at most). Both pivot choices follow Bland's smallest-index rule,
+which rules out cycling; the price is extra pivots, irrelevant at this scale:
+
+- entering column: the smallest index whose reduced cost is < -EPS;
+- leaving row: among the rows whose entry in the entering column is > EPS,
+  those whose ratio rhs / entry is within EPS of the smallest ratio tie, and
+  the tied row whose basic variable has the smallest index leaves.
+
+Pivot elements smaller than EPS in magnitude are treated as zero.
 """
 
 import numpy as np
@@ -31,38 +36,18 @@ def _pivot(T, cost, basis, row, col):
     basis[row] = col
 
 
-def _bland_enter(cost, width):
-    for j in range(width):
-        if cost[j] < -EPS:
-            return j
-    return -1
-
-
-def _bland_leave(T, basis, col):
-    best = -1
-    best_ratio = np.inf
-    for i in range(T.shape[0]):
-        a = T[i, col]
-        if a > EPS:
-            ratio = T[i, -1] / a
-            if ratio < best_ratio - EPS or (
-                ratio <= best_ratio + EPS and (best < 0 or basis[i] < basis[best])
-            ):
-                best = i
-                best_ratio = min(ratio, best_ratio)
-    return best
-
-
 def _run_phase(T, cost, basis, width):
     pivots = 0
     while True:
-        col = _bland_enter(cost, width)
-        if col < 0:
+        col = int(np.argmax(cost[:width] < -EPS))
+        if not cost[col] < -EPS:
             return pivots
-        row = _bland_leave(T, basis, col)
-        if row < 0:
+        rows = np.flatnonzero(T[:, col] > EPS)
+        if not rows.size:
             raise UnboundedError("LP unbounded: column %d has no blocking row" % col)
-        _pivot(T, cost, basis, row, col)
+        ratio = T[rows, -1] / T[rows, col]
+        tied = rows[ratio <= ratio.min() + EPS]
+        _pivot(T, cost, basis, int(tied[np.argmin(basis[tied])]), col)
         pivots += 1
 
 
@@ -84,66 +69,52 @@ def linprog_simplex(c, A, b):
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise ValidationError("LP data must be finite")
 
-    # Columns: nv structural | m slacks | n_art artificials | rhs.
+    # Columns: nv structural | m slacks | n_art artificials | rhs. Each row
+    # with b < 0 is negated and gets its own artificial as the basic variable.
     neg = b < 0
     n_art = int(neg.sum())
-    n_slack = m
-    width = nv + n_slack + n_art
+    width = nv + m + n_art
     T = np.zeros((m, width + 1))
     T[:, :nv] = A
-    T[:, nv:nv + n_slack] = np.eye(m)
+    T[:, nv:nv + m] = np.eye(m)
     T[:, -1] = b
-    basis = np.empty(m, dtype=np.int64)
-    k = 0
-    for i in range(m):
-        if neg[i]:
-            T[i] *= -1.0
-            col = nv + n_slack + k
-            T[i, col] = 1.0
-            basis[i] = col
-            k += 1
-        else:
-            basis[i] = nv + i
+    T[neg] *= -1.0
+    basis = nv + np.arange(m)
+    basis[neg] = nv + m + np.arange(n_art)
+    T[neg, basis[neg]] = 1.0
 
     pivots = 0
     if n_art:
         cost1 = np.zeros(width + 1)
-        cost1[nv + n_slack:width] = 1.0
-        for i in range(m):
-            if basis[i] >= nv + n_slack:
-                cost1 -= T[i]
+        cost1[nv + m:width] = 1.0
+        cost1 -= T[neg].sum(axis=0)
         pivots += _run_phase(T, cost1, basis, width)
         phase1_obj = -cost1[-1]
         if phase1_obj > 1e-7 * (1.0 + float(np.abs(b).max())):
             raise InfeasibleError("LP infeasible: phase-1 objective %.3e > 0" % phase1_obj)
         # Any artificial still basic sits at level zero: pivot it out on a
-        # structural/slack column, or drop its row as redundant.
-        drop = []
-        for i in range(m):
-            if basis[i] >= nv + n_slack:
-                row_cols = np.flatnonzero(np.abs(T[i, :nv + n_slack]) > EPS)
-                if row_cols.size:
-                    _pivot(T, None, basis, i, int(row_cols[0]))
-                    pivots += 1
-                else:
-                    drop.append(i)
-        if drop:
-            keep = np.setdiff1d(np.arange(m), drop)
-            T = T[keep]
-            basis = basis[keep]
-            m = T.shape[0]
-        T = np.delete(T, np.s_[nv + n_slack:width], axis=1)
-        width = nv + n_slack
+        # structural/slack column, or drop its row as redundant. Each pivot
+        # changes the rows after it, so this goes one row at a time.
+        for i in np.flatnonzero(basis >= nv + m):
+            row_cols = np.flatnonzero(np.abs(T[i, :nv + m]) > EPS)
+            if row_cols.size:
+                _pivot(T, None, basis, i, int(row_cols[0]))
+                pivots += 1
+        keep = np.flatnonzero(basis < nv + m)
+        T = T[np.ix_(keep, np.r_[:nv + m, width])]
+        basis = basis[keep]
+        width = nv + m
 
+    # Accumulated in row order, one basic row at a time, as the sum's
+    # rounding depends on that order.
     cost2 = np.zeros(width + 1)
     cost2[:nv] = c
-    for i in range(m):
-        if basis[i] < nv and c[basis[i]] != 0.0:
+    for i in np.flatnonzero(basis < nv):
+        if c[basis[i]] != 0.0:
             cost2 -= c[basis[i]] * T[i]
     pivots += _run_phase(T, cost2, basis, width)
 
     x = np.zeros(nv)
-    for i in range(m):
-        if basis[i] < nv:
-            x[basis[i]] = T[i, -1]
+    structural = basis < nv
+    x[basis[structural]] = T[structural, -1]
     return x, float(c @ x), pivots

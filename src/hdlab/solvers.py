@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import Dataset, is_standardized
+from .data import Dataset, is_int, is_standardized
 from .errors import (
     ConfigurationError,
     NotStandardizedError,
@@ -27,6 +27,9 @@ from .penalties import PenaltySpec, penalty_derivative, penalty_value, prox
 from .simplex import linprog_simplex
 
 BEST_SUBSET_MAX_D = 15
+# dantzig_selector's simplex tableau has 2d rows and at most 5d + 1 float64
+# columns, 80 d^2 + 16 d bytes: 80 MB at this cap, 320 MB at d = 2000.
+DANTZIG_MAX_D = 1000
 
 # lasso_path: the bound on every returned point's KKT violation, relative
 # to max(1, ||y||/sqrt(n)) (see lasso_path); the coordinate-descent
@@ -357,11 +360,18 @@ def dantzig_selector(spec):
     Splits beta into positive and negative parts and solves the resulting
     inequality-form LP exactly; the objective field is ||beta||_1 and
     iterations counts simplex pivots. The returned vertex is checked for
-    feasibility within 1e-8 before being accepted.
+    feasibility within 1e-8 before being accepted. Raises SizeLimitError,
+    before any allocation, when d exceeds DANTZIG_MAX_D.
     """
     data = spec.dataset
     X, y = data.X, data.y
     d = data.d
+    if d > DANTZIG_MAX_D:
+        raise SizeLimitError(
+            "dantzig_selector builds a 2d x (5d+1) simplex tableau; d=%d exceeds "
+            "the cap %d: screen the columns first (hdlab screen, sis_select)"
+            % (d, DANTZIG_MAX_D)
+        )
     G = X.T @ X
     g = X.T @ y
     gamma = spec.gamma_n
@@ -647,7 +657,7 @@ def cross_validate(data, lambda_grid, folds, seed, solver=None):
     """
     y = data.require_y()
     grid = _check_grid(lambda_grid)
-    if not isinstance(folds, (int, np.integer)) or folds < 2:
+    if not is_int(folds) or folds < 2:
         raise ConfigurationError("folds must be an integer >= 2")
     if folds > data.n:
         raise ConfigurationError("more folds than rows")

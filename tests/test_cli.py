@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from hdlab import (
+    HighConfidenceSetSpec,
     LinearModelSpec,
     best_subset_l0,
     coord_descent_l1,
+    dantzig_selector,
     gen_linear,
+    read_csv,
     sis_select,
     standardize,
     write_csv,
@@ -197,6 +200,45 @@ class TestFit:
         assert code == 0
         meta = read_kv(os.path.join(out, "fit_run.txt"))
         assert float(meta["gamma_n"]) > 0.0
+
+    def test_dantzig_lambda_is_the_radius(self, tmp_path, csv_data):
+        path, _ = csv_data
+        # Read as the CLI reads it: X'X moves in its last bits with the layout.
+        data = read_csv(path)
+        fits = []
+        for radius in (0.3, 300.0):
+            out = str(tmp_path / str(radius))
+            assert main(["fit", "--data", path, "--solver", "dantzig",
+                         "--lambda", str(radius), "--out", out]) == 0
+            meta = read_kv(os.path.join(out, "fit_run.txt"))
+            assert float(meta["lambda"]) == float(meta["gamma_n"]) == radius
+            _, rows = read_table(os.path.join(out, "fit_coefficients.csv"))
+            fits.append(np.array([float(r[2]) for r in rows]))
+            want = dantzig_selector(HighConfidenceSetSpec(data, radius)).beta_hat
+            assert np.array_equal(fits[-1], want)
+        assert not np.array_equal(fits[0], fits[1])
+
+    @pytest.mark.parametrize("radius", [["--lambda", "0.3"], ["--lambda-grid", "0.5,0.1"]],
+                             ids=["lambda", "lambda-grid"])
+    def test_gamma_n_with_a_lambda_is_invalid(self, tmp_path, csv_data, capsys, radius):
+        path, _ = csv_data
+        out = tmp_path / "o"
+        code = main(["fit", "--data", path, "--solver", "dantzig", "--gamma-n", "5"]
+                    + radius + ["--out", str(out)])
+        assert code == 2
+        assert "--gamma-n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dantzig_size_cap_is_invalid_input(self, tmp_path, csv_data, capsys,
+                                               monkeypatch):
+        import hdlab.solvers as solvers
+
+        monkeypatch.setattr(solvers, "DANTZIG_MAX_D", 5)
+        path, _ = csv_data
+        code = main(["fit", "--data", path, "--solver", "dantzig",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "screen" in capsys.readouterr().err
 
     def test_standardize_flag(self, tmp_path):
         spec = LinearModelSpec(n=40, d=4, beta={1: 1.0}, noise_sd=0.5)
@@ -486,8 +528,10 @@ class TestReproduce:
                      "--out", out]) == 0
         _, rows = read_table(os.path.join(out, "spurious_values.csv"))
         assert len(rows) == 1000
-        kv = read_kv(os.path.join(out, "spurious_params.txt"))
-        assert kv["reps"] == "1000" and kv["paper_scale"] == "1"
+        params = os.path.join(out, "spurious_params.txt")
+        kv = read_kv(params)
+        assert kv["reps"] == "1000" and kv["paper_scale"] == "True"
+        assert read_config(params)["paper_scale"] is True
 
 
 class TestConfigParsing:

@@ -321,8 +321,9 @@ class TestEndogeneityDiagnostic:
     def test_validation(self):
         data = gen_iid_gaussian(20, 5, 90)
         resid = np.random.default_rng(91).standard_normal(20)
-        with pytest.raises(ConfigurationError):
-            endogeneity_diagnostic(Dataset(data.X, resid), resid, 1, seed=0)
+        for bad in (1, True):
+            with pytest.raises(ConfigurationError):
+                endogeneity_diagnostic(Dataset(data.X, resid), resid, bad, seed=0)
         with pytest.raises(ValidationError):
             endogeneity_diagnostic(Dataset(data.X, resid), np.ones(7), 5, seed=0)
 

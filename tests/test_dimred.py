@@ -79,7 +79,7 @@ class TestPca:
 
     def test_k_validation(self):
         data = cloud(6, 20, 5)
-        for bad in (0, 6, 2.5):
+        for bad in (0, 6, 2.5, True):
             with pytest.raises(ConfigurationError):
                 pca(data, bad)
 
@@ -146,7 +146,7 @@ class TestRandomProjection:
 
     def test_k_validation(self):
         data = cloud(25, 10, 8)
-        for bad in (0, -3, 1.5):
+        for bad in (0, -3, 1.5, True):
             with pytest.raises(ConfigurationError):
                 random_projection(data, bad, seed=0)
 

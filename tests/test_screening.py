@@ -121,7 +121,7 @@ class TestSisSelect:
             sis_select(data, delta=-0.1)
         with pytest.raises(ConfigurationError):
             sis_select(data, delta=np.nan)
-        for bad in [0, data.d + 1, 2.5]:
+        for bad in [0, data.d + 1, 2.5, True]:
             with pytest.raises(ConfigurationError):
                 sis_select(data, top_k=bad)
 

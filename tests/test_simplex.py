@@ -44,6 +44,14 @@ class TestKnownInstances:
         assert np.allclose(x, [0.0, 1.0], atol=1e-9)
         assert obj == pytest.approx(1.0, abs=1e-9)
 
+    def test_leaving_row_tie_band(self):
+        # Both rows block x, with ratios 1 and 1 - 1e-10: within EPS of each
+        # other, so they tie, and row 0 leaves because its slack (column 1)
+        # has the smaller index, though row 1 has the smaller ratio.
+        x, obj, pivots = linprog_simplex(np.array([-1.0]), np.array([[1.0], [1.0]]),
+                                         np.array([1.0, 1.0 - 1e-10]))
+        assert x[0] == 1.0 and pivots == 1
+
     def test_unbounded(self):
         with pytest.raises(UnboundedError):
             linprog_simplex(np.array([-1.0, 0.0]),

@@ -416,6 +416,18 @@ class TestDantzig:
         with pytest.raises(ValidationError):
             HighConfidenceSetSpec(data, -1.0)
 
+    def test_size_cap_comes_before_the_tableau(self, monkeypatch):
+        import hdlab.solvers as solvers
+
+        data = sparse_problem(83, n=30, d=6)
+        spec = HighConfidenceSetSpec(data, 0.5 * float(np.max(np.abs(data.X.T @ data.y))))
+        monkeypatch.setattr(solvers, "DANTZIG_MAX_D", 6)
+        assert dantzig_selector(spec).iterations >= 1
+        monkeypatch.setattr(solvers, "DANTZIG_MAX_D", 5)
+        monkeypatch.setattr(solvers, "linprog_simplex", None)  # not reached
+        with pytest.raises(SizeLimitError, match="screen"):
+            dantzig_selector(spec)
+
     def test_default_radius(self):
         data = sparse_problem(80, n=50, d=20)
         sigma = float(np.std(data.y, ddof=1))
@@ -761,6 +773,8 @@ class TestCrossValidate:
             cross_validate(data, [0.1, -0.2], folds=2, seed=0)
         with pytest.raises(ConfigurationError):
             cross_validate(data, [0.1], folds=1, seed=0)
+        with pytest.raises(ConfigurationError):
+            cross_validate(data, [0.1], folds=True, seed=0)
         with pytest.raises(ConfigurationError):
             cross_validate(data, [0.1], folds=21, seed=0)
         tiny = Dataset(np.random.default_rng(0).standard_normal((3, 2)),
