@@ -109,6 +109,12 @@ def cmd_fit(args):
         raise ConfigurationError(
             "--gamma-n is the dantzig radius, as --lambda is; do not combine it "
             "with --lambda or --lambda-grid")
+    if args.gamma_n_scale is not None and (
+            args.solver != "dantzig" or args.lam is not None
+            or args.lambda_grid is not None or args.gamma_n is not None):
+        raise ConfigurationError(
+            "--gamma-n-scale scales the default dantzig radius only; do not "
+            "combine it with --lambda, --lambda-grid, --gamma-n or another solver")
     solve = _solver(args)
     data = _load_data(args, need_y=True)
     os.makedirs(args.out, exist_ok=True)
@@ -128,7 +134,7 @@ def cmd_fit(args):
     elif args.gamma_n is not None:
         lam = args.gamma_n
     else:
-        lam = default_gamma_n(data, args.gamma_n_scale)
+        lam = default_gamma_n(data, 1.0 if args.gamma_n_scale is None else args.gamma_n_scale)
     if args.solver == "dantzig":
         extras["gamma_n"] = lam
     fit = solve(data, lam, None)
@@ -396,10 +402,10 @@ def build_parser():
                        help="dantzig constraint radius, the same setting as "
                             "--lambda: give one of --gamma-n, --lambda and "
                             "--lambda-grid")
-    p_fit.add_argument("--gamma-n-scale", type=float, default=1.0,
+    p_fit.add_argument("--gamma-n-scale", type=float, default=None,
                        help="scale on the default dantzig radius, "
-                            "sd(y) * sqrt(2 * n * log(d)), used when no radius "
-                            "is given")
+                            "sd(y) * sqrt(2 * n * log(d)) (1 when omitted); "
+                            "only with --solver dantzig and no radius given")
     p_fit.add_argument("--standardize", action="store_true",
                        help="standardize columns before fitting")
     p_fit.add_argument("--out", default="hdlab_out")

@@ -293,7 +293,9 @@ def read_csv(path, y_col="y"):
     """Read a Dataset written by write_csv (or any numeric CSV with a header).
 
     The column named y_col (default 'y'), when present, becomes the response.
-    Pass y_col=None to treat every column as a feature.
+    Pass y_col=None to treat every column as a feature. X and y are
+    C-contiguous either way, as arrays built in memory are, so products
+    such as X'X have the same last bits as on the in-memory data.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -313,5 +315,6 @@ def read_csv(path, y_col="y"):
     if y_col is not None and y_col in header:
         yi = header.index(y_col)
         keep = [j for j in range(len(header)) if j != yi]
-        return Dataset(M[:, keep], M[:, yi], tuple(header[j] for j in keep))
+        return Dataset(np.ascontiguousarray(M[:, keep]), np.ascontiguousarray(M[:, yi]),
+                       tuple(header[j] for j in keep))
     return Dataset(M, None, tuple(header))

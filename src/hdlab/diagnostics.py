@@ -307,20 +307,37 @@ def _leave_one_out_ks(samples):
     """ks_distance(samples[b], all other rows pooled), for every row b.
 
     Both ECDFs jump only at pooled values, so each distance is a max over
-    the pooled sample x of |F_b(x) - F_rest(x)|. The pool is sorted once;
-    with count_all(x) and count_b(x) the numbers of pooled and own values
-    <= x, the rest count is count_all - count_b. The integer counts and
-    divisors are those ks_distance uses, so the result is bit-for-bit the
-    same as calling it B times.
+    the pooled sample x of |F_b(x) - F_rest(x)|, where count_all(x) and
+    count_b(x) are the numbers of pooled and own values <= x and the rest
+    count is count_all - count_b. Between two own values count_b is fixed
+    and count_all rises, so F_b - F_rest peaks at the lower own value and
+    F_rest - F_b at the last pooled value below the upper one (below the
+    first own value, F_b = 0; past the last, both reach 1). Each row is
+    thus evaluated at its d own values v, with counts of values <= v, and
+    at the d pooled values just below them, with counts of values < v.
+
+    count_all comes from one sort of the pool. An own value u is <= v
+    exactly when count_all(u) <= count_all(v), and < v exactly when
+    count_all(u) <= count_all(v-), so count_b is a searchsorted over the
+    pooled counts of the own values. The integer counts and divisors are
+    those ks_distance uses, so the result is bit-for-bit the same as
+    calling it B times.
     """
     B, d = samples.shape
-    pool = np.sort(samples, axis=None)
-    count_all = np.searchsorted(pool, pool, side="right")
-    out = np.empty(B)
-    for b in range(B):
-        count_b = np.searchsorted(np.sort(samples[b]), pool, side="right")
-        out[b] = np.max(np.abs(count_b / d - (count_all - count_b) / ((B - 1) * d)))
-    return out
+    own = np.sort(samples, axis=1)
+    pool = np.sort(own, axis=None)
+    # Pooled counts at each own value v: of values <= v, then of values < v.
+    count_all = np.concatenate([np.searchsorted(pool, own, side="right"),
+                                np.searchsorted(pool, own, side="left")], axis=1)
+    # Row b's positions are offset by b * (pool.size + 1), which keeps the
+    # rows apart, so one searchsorted counts the own values of every row.
+    offset = (pool.size + 1) * np.arange(B)[:, None]
+    keys = (count_all[:, :d] + offset).ravel()
+    count_b = np.searchsorted(keys, count_all + offset, side="right")
+    count_b -= d * np.arange(B)[:, None]
+    gaps = count_b / d
+    gaps -= (count_all - count_b) / ((B - 1) * d)
+    return np.abs(gaps, out=gaps).max(axis=1)
 
 
 def overid_check(data, fit, selected):

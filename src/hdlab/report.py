@@ -5,10 +5,19 @@ Reports carry their full parameterization, so a run can be reconstructed
 from its emitted files alone. Floats are written with repr (shortest
 round-trip form), which makes re-running with the same inputs byte-identical.
 Wall-clock time lives in the metadata file only, never in table CSVs.
+
+Tables are written the way csv.writer's excel dialect writes the _cell form
+of each value, but a block of rows at a time and one column per pass: a
+column of floats is formatted by one map of float.__repr__, a column of
+plain strings passes through, and the lines are joined directly. A block
+with a string cell that csv would quote (one holding a comma, a quote or a
+line break) or an empty one goes through csv.writer.
 """
 
 import csv
+import itertools
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +33,48 @@ def _cell(v):
     return str(v)
 
 
+# Rows formatted at once: large enough that the per-column passes pay off,
+# small enough that a block's cell strings stay near a megabyte.
+_BLOCK_ROWS = 4096
+_FLOATS = {float, np.float64}
+_NEEDS_CSV = re.compile(r'[,"\r\n]')
+
+
+def _format_block(block):
+    """The CSV lines of `block`, or None when it needs csv.writer: a ragged
+    block, empty rows, or a string cell that is empty or would be quoted."""
+    width = len(block[0])
+    if width == 0 or any(len(row) != width for row in block):
+        return None
+    columns = []
+    for column in zip(*block):
+        kinds = set(map(type, column))
+        if kinds <= _FLOATS:
+            columns.append(map(float.__repr__, column))
+            continue
+        cells = column if kinds == {str} else list(map(_cell, column))
+        if any(not s or _NEEDS_CSV.search(s) for s in set(cells)):
+            return None
+        columns.append(cells)
+    return "".join(",".join(line) + "\r\n" for line in zip(*columns))
+
+
 def write_table(path, header, rows):
-    """Write a header row, then each row with every cell formatted by _cell."""
+    """Write a header row, then each row with every cell formatted by _cell.
+
+    `rows` may be any iterable, a generator included; it is read one block
+    of _BLOCK_ROWS rows at a time.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(v) for v in row])
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            lines = _format_block(block)
+            if lines is None:
+                w.writerows([_cell(v) for v in row] for row in block)
+            else:
+                fh.write(lines)
 
 
 def write_kv(path, pairs):

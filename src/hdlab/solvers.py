@@ -478,8 +478,13 @@ def _homotopy(X, y, levels):
     correlations follow c(lam) = c0 + lam * a with c0 = X'(y - X_A u)/n and
     a = X'X_A delta/n, so the next kink is the largest lambda below the
     current one at which an inactive |c_j| reaches lam or an active
-    coefficient reaches zero. Only (A, s_A) is carried from kink to kink,
-    so round-off does not accumulate along the path.
+    coefficient reaches zero.
+
+    G^-1 is carried from kink to kink, with X_A and the right-hand sides
+    [X_A'y/n, s_A]: it is bordered when a column enters and downdated by
+    its Schur complement when one leaves, so a kink costs O(nk + k^2) on
+    top of the O(nd) correlation update, with no O(k^3) solve. Round-off in
+    the updated inverse shows up in lasso_path's certificate.
 
     Returns (betas, count, kinks, beta): rows [0, count) of betas hold the
     path at levels[:count]. When count is short of levels.size the walk
@@ -495,8 +500,17 @@ def _homotopy(X, y, levels):
         return betas, count, 0, beta
     j = int(np.argmax(np.abs(c)))
     active = [j]
-    signs = [float(np.sign(c[j]))]
-    G = np.array([[X[:, j] @ X[:, j] / n]])
+    in_model = np.zeros(d, dtype=bool)
+    in_model[j] = True
+    # Columns [0, k) of XA are the active columns in the order of `active`,
+    # rows [0, k) of rhs their [X_A'y/n, s_A], and Ginv is k x k.
+    XA = np.empty((n, min(n, d)), order="F")
+    XA[:, 0] = X[:, j]
+    rhs = np.empty((min(n, d), 2))
+    rhs[0] = c[j], np.sign(c[j])
+    Ginv = np.array([[n / (X[:, j] @ X[:, j])]])
+    fitted = np.empty((n, 2))
+    roots = np.empty((2, d))
     changed = j
     kinks = 0
     # Round-off at a tie can put an event just above the current lambda; up
@@ -505,70 +519,82 @@ def _homotopy(X, y, levels):
     # one, and a missed event shows up in the certificate.
     slack = 1e-12 * lam
     max_kinks = 10 * min(n, d) + 10
-    while True:
-        XA = X[:, active]
-        k = len(active)
-        rhs = np.zeros((k, 3))
-        rhs[:, 0] = XA.T @ y / n
-        rhs[:, 1] = signs
-        rhs[-1, 2] = 1.0
-        try:
-            u, delta, last = np.linalg.solve(G, rhs).T
-        except np.linalg.LinAlgError:
-            break
-        # last = G^-1 e_k, so XA @ last / last[-1] is the part of the newest
-        # column outside the span of the other active columns; q is its
-        # squared norm over n. It is taken from that vector, not from
-        # 1/last[-1]: through G alone q drowns in round-off as it nears 0,
-        # and a near-duplicate column would enter with a huge coefficient.
-        # Each column is checked when it enters, so a small q means G has
-        # become numerically singular.
-        if changed == active[-1]:
-            outside = XA @ (last / last[-1])
-            if not outside @ outside >= _GRAM_PIVOT_FLOOR * n * G[-1, -1]:
-                break
-        c0, a = (X.T @ np.column_stack([y - XA @ u, XA @ delta])).T / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            k = len(active)
+            XAk = XA[:, :k]
+            coef = Ginv @ rhs[:k]
+            u, delta = coef.T
+            # fitted = [y - X_A u, X_A delta], so X'fitted/n = [c0, a].
+            np.dot(XAk, coef, out=fitted)
+            np.subtract(y, fitted[:, 0], out=fitted[:, 0])
+            c0, a = (X.T @ fitted).T / n
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = np.vstack([c0 / (1.0 - a), -c0 / (1.0 + a)])
+            np.divide(c0, 1.0 - a, out=roots[0])
+            np.divide(-c0, 1.0 + a, out=roots[1])
+            roots[~((roots > 0.0) & (roots <= lam + slack))] = -np.inf
+            join = roots.max(axis=0)
+            join[in_model] = -np.inf
+            join[changed] = -np.inf
             leave = u / delta
-        roots[~((roots > 0.0) & (roots <= lam + slack))] = -np.inf
-        join = roots.max(axis=0)
-        join[active] = -np.inf
-        join[changed] = -np.inf
-        leave[~((leave > 0.0) & (leave <= lam + slack))] = -np.inf
-        if changed in active:
-            leave[active.index(changed)] = -np.inf
-        j_in = int(np.argmax(join))
-        i_out = int(np.argmax(leave))
-        nxt = min(max(float(join[j_in]), float(leave[i_out]), 0.0), lam)
+            leave[~((leave > 0.0) & (leave <= lam + slack))] = -np.inf
+            if in_model[changed]:
+                leave[active.index(changed)] = -np.inf
+            j_in = int(join.argmax())
+            i_out = int(leave.argmax())
+            nxt = min(max(float(join[j_in]), float(leave[i_out]), 0.0), lam)
 
-        while count < levels.size and levels[count] >= nxt:
-            betas[count, active] = u - levels[count] * delta
-            count += 1
-        if count == levels.size:
-            break
-        beta = np.zeros(d)
-        beta[active] = u - nxt * delta
-        lam = nxt
-        if kinks == max_kinks:
-            break
-        if leave[i_out] >= join[j_in]:
-            changed = active.pop(i_out)
-            del signs[i_out]
-            G = np.delete(np.delete(G, i_out, axis=0), i_out, axis=1)
-        else:
-            if len(active) + 1 >= n:
+            while count < levels.size and levels[count] >= nxt:
+                betas[count, active] = u - levels[count] * delta
+                count += 1
+            if count == levels.size:
+                break
+            lam = nxt
+            if kinks == max_kinks:
+                break
+            if leave[i_out] >= join[j_in]:
+                # Without row and column i of G, the inverse is the rest of
+                # Ginv less e e' / Ginv[i, i], e being column i of Ginv.
+                i = i_out
+                keep = np.arange(k) != i
+                e = Ginv[keep, i]
+                Ginv = Ginv[np.ix_(keep, keep)] - np.multiply.outer(e, e) / Ginv[i, i]
+                XA[:, i:k - 1] = XA[:, i + 1:k]
+                rhs[i:k - 1] = rhs[i + 1:k]
+                changed = active.pop(i)
+                in_model[changed] = False
+                kinks += 1
+                continue
+            if k + 1 >= n:
+                break
+            # Bordering: with w = G^-1 X_A'x_j/n, the part of x_j outside the
+            # span of the active columns is x_j - X_A w, and q, its squared
+            # norm over n, is the Schur complement of G in the grown Gram
+            # matrix. q is taken from that vector, not as G_jj - b'w: through
+            # G alone q drowns in round-off as it nears 0, and a
+            # near-duplicate column would enter with a huge coefficient. A
+            # q below the floor means the grown G is numerically singular.
+            xj = X[:, j_in]
+            w = Ginv @ (XAk.T @ xj) / n
+            outside = xj - XAk @ w
+            q = outside @ outside / n
+            kinks += 1
+            if not q >= _GRAM_PIVOT_FLOOR * (xj @ xj) / n:
                 break
             grown = np.empty((k + 1, k + 1))
-            grown[:k, :k] = G
-            grown[:k, k] = grown[k, :k] = XA.T @ X[:, j_in] / n
-            grown[k, k] = X[:, j_in] @ X[:, j_in] / n
-            G = grown
+            ws = w / np.sqrt(q)
+            np.multiply.outer(ws, ws, out=grown[:k, :k])
+            grown[:k, :k] += Ginv
+            grown[:k, k] = grown[k, :k] = -w / q
+            grown[k, k] = 1.0 / q
+            Ginv = grown
+            XA[:, k] = xj
+            rhs[k] = c[j_in], np.sign(c0[j_in] + lam * a[j_in])
             active.append(j_in)
-            signs.append(float(np.sign(c0[j_in] + lam * a[j_in])))
+            in_model[j_in] = True
             changed = j_in
-        kinks += 1
+    if count < levels.size:
+        beta[active] = u - lam * delta
     return betas, count, kinks, beta
 
 
@@ -593,10 +619,10 @@ def lasso_path(data, lambda_grid):
     """Exact Lasso solutions on a lambda grid by the homotopy (LARS-Lasso).
 
     Follows the solution of ||y - X b||^2/(2n) + lam ||b||_1 down from
-    lam_max = max|X'y|/n, re-solving the active system at every kink where a
-    column enters or leaves (Efron, Hastie, Johnstone & Tibshirani 2004;
-    Osborne, Presnell & Turlach 2000). Works from X and the active Gram
-    matrix only, so memory stays O(nd) on wide data.
+    lam_max = max|X'y|/n, updating the inverse of the active Gram matrix at
+    every kink where a column enters or leaves (Efron, Hastie, Johnstone &
+    Tibshirani 2004; Osborne, Presnell & Turlach 2000). Works from X and
+    that inverse only, so memory stays O(nd) on wide data.
 
     Each grid point is certified by kkt_violation() against the bound
     PATH_KKT_TOL * max(1, ||y||/sqrt(n)). Round-off in X'(y - X b)/n grows

@@ -229,6 +229,48 @@ class TestFit:
         assert "--gamma-n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", [
+        ["--solver", "dantzig", "--lambda", "0.3"],
+        ["--solver", "dantzig", "--lambda-grid", "0.5,0.1"],
+        ["--solver", "dantzig", "--gamma-n", "5"],
+        ["--solver", "cd", "--lambda", "0.1"],
+        ["--solver", "lla", "--lambda", "0.1"],
+    ], ids=["lambda", "lambda-grid", "gamma-n", "cd", "lla"])
+    def test_gamma_n_scale_without_the_default_radius_is_invalid(
+            self, tmp_path, csv_data, capsys, given):
+        path, _ = csv_data
+        out = tmp_path / "o"
+        code = main(["fit", "--data", path, "--gamma-n-scale", "2"] + given
+                    + ["--out", str(out)])
+        assert code == 2
+        assert "--gamma-n-scale" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gamma_n_scale_scales_the_default_radius(self, tmp_path, csv_data):
+        path, _ = csv_data
+        radii = []
+        for scale in ([], ["--gamma-n-scale", "1"], ["--gamma-n-scale", "2"]):
+            out = str(tmp_path / str(len(radii)))
+            assert main(["fit", "--data", path, "--solver", "dantzig"] + scale
+                        + ["--out", out]) == 0
+            radii.append(float(read_kv(os.path.join(out, "fit_run.txt"))["gamma_n"]))
+        assert radii[0] == radii[1] > 0.0
+        assert radii[2] == 2.0 * radii[0]
+
+    def test_dantzig_on_csv_equals_the_in_memory_fit(self, tmp_path, csv_data):
+        # read_csv returns C-contiguous arrays, as gen_linear does, so X'X
+        # and the selector have the same last bits as on the data in memory.
+        path, data = csv_data
+        back = read_csv(path)
+        assert back.X.flags.c_contiguous and back.y.flags.c_contiguous
+        assert read_csv(path, y_col=None).X.flags.c_contiguous
+        out = str(tmp_path / "out")
+        assert main(["fit", "--data", path, "--solver", "dantzig", "--lambda", "0.3",
+                     "--out", out]) == 0
+        _, rows = read_table(os.path.join(out, "fit_coefficients.csv"))
+        want = dantzig_selector(HighConfidenceSetSpec(data, 0.3)).beta_hat
+        assert np.array_equal([float(r[2]) for r in rows], want)
+
     def test_dantzig_size_cap_is_invalid_input(self, tmp_path, csv_data, capsys,
                                                monkeypatch):
         import hdlab.solvers as solvers

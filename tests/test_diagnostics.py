@@ -28,6 +28,7 @@ from hdlab import (
     standardize,
 )
 from hdlab.data import _centered, _corr_columns
+from hdlab.diagnostics import _leave_one_out_ks
 from hdlab.experiments import spurious_correlation_experiment
 
 
@@ -354,6 +355,15 @@ class TestEndogeneityDiagnostic:
         want = [ks_distance(perm_corr[b], np.delete(perm_corr, b, axis=0))
                 for b in range(7)]
         assert np.array_equal(rep.null_tail_statistics, want)
+
+    @pytest.mark.parametrize("B, d, decimals", [(40, 30, 1), (40, 30, 2), (2, 30, 1), (2, 7, 3)])
+    def test_leave_one_out_null_with_ties_matches_direct_loop(self, B, d, decimals):
+        # Values rounded to a few decimals tie within and across rows; with
+        # B = 2 each row is compared with the other one alone.
+        samples = np.round(np.random.default_rng(B + d).standard_normal((B, d)) * 0.3,
+                           decimals)
+        want = [ks_distance(samples[b], np.delete(samples, b, axis=0)) for b in range(B)]
+        assert np.array_equal(_leave_one_out_ks(samples), want)
 
     def test_permuted_correlations_match_row_permuted_designs(self):
         # The null correlates X[rows_b] with the residuals for each

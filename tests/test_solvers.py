@@ -530,7 +530,66 @@ def lasso_fold_problem(seed, n=160, d=200):
     return data, lam_max
 
 
+def homotopy_by_solves(X, y, levels):
+    """Reference Lasso homotopy that solves the active Gram system afresh at
+    every kink, with the event rules of solvers._homotopy. Returns the rows
+    at `levels`, the kinks crossed and how many of them were a column
+    leaving."""
+    n, d = X.shape
+    betas = np.zeros((levels.size, d))
+    c = X.T @ y / n
+    lam = float(np.max(np.abs(c)))
+    count = int(np.count_nonzero(levels >= lam))
+    changed = int(np.argmax(np.abs(c)))
+    active, signs = [changed], [np.sign(c[changed])]
+    kinks = leaves = 0
+    slack = 1e-12 * lam
+    while True:
+        XA = X[:, active]
+        u, delta = np.linalg.solve(XA.T @ XA / n, np.column_stack([XA.T @ y / n, signs])).T
+        c0 = X.T @ (y - XA @ u) / n
+        a = X.T @ (XA @ delta) / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = np.vstack([c0 / (1.0 - a), -c0 / (1.0 + a)])
+            leave = u / delta
+        roots[~((roots > 0.0) & (roots <= lam + slack))] = -np.inf
+        join = roots.max(axis=0)
+        join[active + [changed]] = -np.inf
+        leave[~((leave > 0.0) & (leave <= lam + slack))] = -np.inf
+        if changed in active:
+            leave[active.index(changed)] = -np.inf
+        j_in, i_out = int(np.argmax(join)), int(np.argmax(leave))
+        lam = min(max(float(join[j_in]), float(leave[i_out]), 0.0), lam)
+        while count < levels.size and levels[count] >= lam:
+            betas[count, active] = u - levels[count] * delta
+            count += 1
+        if count == levels.size:
+            return betas, kinks, leaves
+        if leave[i_out] >= join[j_in]:
+            changed = active.pop(i_out)
+            del signs[i_out]
+            leaves += 1
+        else:
+            active.append(j_in)
+            signs.append(np.sign(c0[j_in] + lam * a[j_in]))
+            changed = j_in
+        kinks += 1
+
+
 class TestLassoPath:
+    @pytest.mark.parametrize("seed", [11, 21, 31])
+    def test_updated_inverse_matches_fresh_solves(self, seed):
+        import hdlab.solvers as solvers
+
+        data, lam_max = lasso_fold_problem(seed)
+        levels = np.geomspace(lam_max, 0.01 * lam_max, 20)
+        betas, count, kinks, _ = solvers._homotopy(data.X, data.y, levels)
+        want, want_kinks, leaves = homotopy_by_solves(data.X, data.y, levels)
+        assert leaves > 0
+        assert count == levels.size
+        assert kinks == want_kinks
+        assert np.max(np.abs(betas - want)) <= 1e-12
+
     def test_agrees_with_coordinate_descent(self):
         data, lam_max = lasso_fold_problem(11)
         grid = np.geomspace(lam_max, 0.01 * lam_max, 20)
