@@ -2,9 +2,13 @@
 
 Both methods produce a Projection carrying a d x k basis plus a scale factor
 applied at projection time. PCA maximizes retained variance (its basis is
-orthonormal, scale 1) and is computed from the thin SVD of the centered data,
-so no d x d matrix is formed. Random projection draws iid normal columns
-normalized to exactly unit length; since such columns shrink distances by
+orthonormal, scale 1) and is computed from the eigendecomposition of the
+smaller Gram matrix of the centered n x d data: the d x d scatter matrix when
+d <= n, the n x n one when d > n (the method of snapshots), so its cost is
+O(n d min(n, d) + min(n, d)^3) and no d x d matrix is formed for wide data.
+Each PCA basis is certified orthonormal to _ORTHO_TOL = 1e-13, or
+re-orthonormalized by a Householder QR. Random projection draws iid normal
+columns normalized to exactly unit length; since such columns shrink distances by
 sqrt(k/d) on average, the projection is rescaled by sqrt(d/k) so squared
 distances are unbiased and the two methods are comparable on the same
 distortion scale.
@@ -51,10 +55,8 @@ class Projection:
 def _fix_signs(V):
     # Deterministic orientation: the largest-magnitude entry of each column
     # (first occurrence) is made positive.
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
+    top = np.argmax(np.abs(V), axis=0)
+    V[:, V[top, np.arange(V.shape[1])] < 0] *= -1.0
     return V
 
 
@@ -63,32 +65,72 @@ def _require_rank(data, k):
         raise ConfigurationError("k must be an integer in [1, min(n, d)]")
 
 
-def pca(data, k):
-    """Top-k principal directions of the column-centered data.
+# Certificate of every pca basis V: max |V'V - I| must not exceed this, or
+# the basis is re-orthonormalized (see _certified).
+_ORTHO_TOL = 1e-13
 
-    Computed from the thin SVD of the centered n x d matrix, at O(n d
-    min(n, d)) cost without forming the d x d covariance: its right singular
-    vectors are the covariance's eigenvectors. Columns are ordered by
-    singular value, largest first, each oriented so its largest-magnitude
-    entry is positive. Requires 1 <= k <= min(n, d).
+
+def _top_eigenvectors(G, k):
+    """Eigenvectors of the symmetric G for its k largest eigenvalues, largest
+    first."""
+    return np.linalg.eigh(G)[1][:, ::-1][:, :k]
+
+
+def _certified(V, Y):
+    """V if max |V'V - I| <= _ORTHO_TOL, else the Q factor of one
+    Householder QR of Y, an orthonormal basis of the same nested spans.
+
+    V may hold infinities or NaNs (a zero scale); the check then fails."""
+    if np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= _ORTHO_TOL:
+        return V
+    return np.linalg.qr(Y)[0]
+
+
+def pca(data, k):
+    """Top-k principal directions of the column-centered n x d data Xc.
+
+    One route, the eigendecomposition of the smaller Gram matrix of Xc:
+    - d <= n: the top-k eigenvectors of the d x d scatter matrix Xc'Xc
+      (the sample covariance times n - 1), as _covariance_pca computes them;
+    - d > n, the method of snapshots: the top-k eigenvectors W of the n x n
+      matrix Xc Xc', mapped to V = Xc'W and each column divided by its norm,
+      the singular value sigma_j.
+    The cost is O(n d min(n, d) + min(n, d)^3).
+
+    Certificate: every basis returned satisfies max |V'V - I| <= _ORTHO_TOL
+    (1e-13). A basis that fails it, as the snapshot basis does when some
+    sigma_j is zero (centered wide data at k = n) or when the top-k spectrum
+    spans more than about two decades (the division amplifies the error in
+    W), is replaced by the Q factor of one Householder QR of Xc'W. The Gram
+    matrix squares the spread of the spectrum, so a direction whose sigma_j
+    lies far below sigma_1 is less accurate than an SVD would give it; the
+    variance the basis captures is not affected.
+
+    Columns are ordered by variance, largest first, each oriented so its
+    largest-magnitude entry is positive. Requires 1 <= k <= min(n, d).
     """
+    if data.d <= data.n:
+        return _covariance_pca(data, k)
     _require_rank(data, k)
     Xc = data.X - data.X.mean(axis=0)
-    _, _, Vt = np.linalg.svd(Xc, full_matrices=False)
-    return Projection(_fix_signs(Vt[:k].T.copy()), "pca", int(k), 1.0)
+    Y = Xc.T @ _top_eigenvectors(Xc @ Xc.T, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = _certified(Y / np.linalg.norm(Y, axis=0), Y)
+    return Projection(_fix_signs(V), "pca", int(k), 1.0)
 
 
 def _covariance_pca(data, k):
-    """pca by the eigendecomposition of the d x d scatter matrix Xc'Xc.
+    """pca by the eigendecomposition of the d x d scatter matrix Xc'Xc at
+    every width, at O(n d^2 + d^3) cost.
 
-    Same directions as pca (Xc'Xc is the sample covariance times n - 1), at
-    O(n d^2 + d^3) cost. Used only by timing_trend, which measures the cost
-    of this route: the cost of PCA at large d that random projection avoids.
+    The route pca takes for d <= n, certificate included. Used by
+    timing_trend, which measures the cost of this route at large d: the cost
+    of PCA that random projection avoids.
     """
     _require_rank(data, k)
     Xc = data.X - data.X.mean(axis=0)
-    _, evecs = np.linalg.eigh(Xc.T @ Xc)
-    return Projection(_fix_signs(evecs[:, ::-1][:, :k].copy()), "pca", int(k), 1.0)
+    V = _top_eigenvectors(Xc.T @ Xc, k).copy()
+    return Projection(_fix_signs(_certified(V, V)), "pca", int(k), 1.0)
 
 
 def random_projection(data, k, seed, orthonormalize=False):
@@ -225,8 +267,9 @@ def timing_trend(n, d_small, d_large, k, seed=0, repeats=3):
     Returns {"pca": (t_small, t_large), "rp": (t_small, t_large)}. Used to
     confirm that widening d inflates PCA cost much faster than RP cost. The
     "pca" times are those of the d x d covariance route (_covariance_pca),
-    whose cost is the one the comparison is about; pca itself uses a thin
-    SVD, whose cost grows only linearly in d once d > n.
+    O(n d^2 + d^3), whose cost is the one the comparison is about. pca takes
+    that route only for d <= n; for d > n it decomposes the n x n Gram
+    matrix instead, at O(n^2 d + n^3), which grows only linearly in d.
     """
     from .data import gen_iid_gaussian
 

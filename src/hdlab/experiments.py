@@ -267,11 +267,11 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         usable = [k for k in k_list if k <= min(n, d)]
         if not usable:
             continue
-        base = pca(data, max(usable))
-        Xc = data.X - data.X.mean(axis=0)
+        # The top-k directions are the first k of the top max(usable).
+        scores = (data.X - data.X.mean(axis=0)) @ pca(data, max(usable)).basis
         series = curves.setdefault(d, {"pca": ([], []), "rp": ([], [])})
         for k in usable:
-            red = pairwise_distances(Xc @ base.basis[:, :k])
+            red = pairwise_distances(scores[:, :k])
             err_pca = median_relative_error(orig, red)
             rows.append([d, k, "pca", err_pca])
             rp = random_projection(data, k, seed=[seed, d, k])

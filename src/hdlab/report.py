@@ -4,7 +4,9 @@ key=value files.
 Reports carry their full parameterization, so a run can be reconstructed
 from its emitted files alone. Floats are written with repr (shortest
 round-trip form), which makes re-running with the same inputs byte-identical.
-Wall-clock time lives in the metadata file only, never in table CSVs.
+Wall-clock time lives in the metadata file only, never in table CSVs. So do
+the NumPy version, the BLAS library and the BLAS thread settings, on which
+the last bits of tables built on BLAS products depend.
 
 Tables are written the way csv.writer's excel dialect writes the _cell form
 of each value, but a block of rows at a time and one column per pass: a
@@ -124,9 +126,24 @@ class ExperimentReport:
         write_kv(meta, [("experiment", self.experiment)]
                  + [(k, _fmt_param(v)) for k, v in self.params.items()]
                  + [("summary." + k, _cell(v)) for k, v in self.summary.items()]
+                 + _runtime()
                  + [("wall_clock", "%.3f" % self.wall_clock)])
         paths.append(meta)
         return paths
+
+
+def _runtime():
+    """The NumPy version, the BLAS it was built with and the BLAS thread
+    settings, as metadata pairs: the last bits of BLAS products, and so the
+    bytes of the tables built on them (figures 1 and 11), depend on these."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = "%s %s" % (blas["name"], blas["version"])
+    except (TypeError, KeyError):  # NumPy < 1.25, or a build without the entry
+        blas = "unknown"
+    return ([("numpy", np.__version__), ("blas", blas)]
+            + [(v, os.environ.get(v, "unset"))
+               for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
 
 
 def _fmt_param(v):

@@ -17,7 +17,8 @@ from hdlab import (
     reconstruction_error,
     timing_trend,
 )
-from hdlab.dimred import _BLOCK_ROWS, _covariance_pca, median_relative_error
+from hdlab import dimred
+from hdlab.dimred import _BLOCK_ROWS, _covariance_pca, _fix_signs, median_relative_error
 
 
 def cloud(seed, n, d, scales=None):
@@ -98,6 +99,85 @@ class TestPca:
             assert abs(float(v @ evecs[:, -1 - j])) > 1 - 1e-8
         # timing_trend times this route; it must give the same basis.
         assert np.max(np.abs(_covariance_pca(data, k).basis - proj.basis)) < 1e-10
+
+    def test_narrow_data_is_the_covariance_route(self):
+        for n, d, k in ((100, 10, 3), (50, 50, 50), (400, 100, 100)):
+            data = cloud(30 + d, n, d)
+            assert np.array_equal(pca(data, k).basis, _covariance_pca(data, k).basis)
+
+    @staticmethod
+    def certified_routes(monkeypatch):
+        """Record, for each basis pca certifies, whether it passed as is."""
+        passed = []
+        real = dimred._certified
+
+        def spy(V, Y):
+            out = real(V, Y)
+            passed.append(out is V)
+            return out
+
+        monkeypatch.setattr(dimred, "_certified", spy)
+        return passed
+
+    @staticmethod
+    def assert_matches_svd(data, proj, k):
+        Xc = data.X - data.X.mean(axis=0)
+        s = np.linalg.svd(Xc, compute_uv=False)
+        V = proj.basis
+        assert V.shape == (data.d, k)
+        assert np.max(np.abs(V.T @ V - np.eye(k))) <= 1e-12
+        top = float(np.sum(s[:k] ** 2))
+        assert abs(float(np.sum((Xc @ V) ** 2)) - top) <= 1e-10 * top
+        tops = V[np.argmax(np.abs(V), axis=0), np.arange(k)]
+        assert np.all(tops > 0)
+
+    def test_wide_rank_deficient_at_k_equal_n(self, monkeypatch):
+        # Centering leaves 30 rows of rank 29, so the last singular value is
+        # zero and the snapshot basis must be re-orthonormalized.
+        passed = self.certified_routes(monkeypatch)
+        data = cloud(40, 30, 200)
+        proj = pca(data, 30)
+        assert passed == [False]
+        self.assert_matches_svd(data, proj, 30)
+        Xc = data.X - data.X.mean(axis=0)
+        _, _, vt = np.linalg.svd(Xc, full_matrices=False)
+        for j in range(29):
+            assert abs(float(vt[j] @ proj.basis[:, j])) > 1 - 1e-8
+
+    def test_wide_ill_conditioned(self, monkeypatch):
+        # Columns scaled geometrically: sigma_k / sigma_1 is about 1e-7.
+        passed = self.certified_routes(monkeypatch)
+        n, d, k = 40, 200, 20
+        data = cloud(41, n, d, scales=10.0 ** (-7.0 * np.arange(d) / (k - 1)))
+        s = np.linalg.svd(data.X - data.X.mean(axis=0), compute_uv=False)
+        assert 1e-8 < s[k - 1] / s[0] < 1e-6
+        proj = pca(data, k)
+        assert passed == [False]
+        self.assert_matches_svd(data, proj, k)
+
+    def test_wide_well_conditioned_takes_the_snapshot_basis(self, monkeypatch):
+        passed = self.certified_routes(monkeypatch)
+        data = cloud(42, 40, 300)
+        proj = pca(data, 25)
+        assert passed == [True]
+        self.assert_matches_svd(data, proj, 25)
+
+    def test_fix_signs_matches_a_column_loop(self):
+        rng = np.random.default_rng(43)
+        V = rng.integers(-3, 4, size=(9, 40)).astype(np.float64)
+        V[:, 0] = [2, -2, 0, 0, 0, 0, 0, 0, 0]    # tie, positive first
+        V[:, 1] = [-2, 2, 0, 0, 0, 0, 0, 0, 0]    # tie, negative first
+        V[:, 2] = 0.0
+        V[:, 3] = [-0.0, 0, 0, 0, 0, 0, 0, 0, -1]
+        want = V.copy()
+        for j in range(want.shape[1]):
+            i = int(np.argmax(np.abs(want[:, j])))
+            if want[i, j] < 0:
+                want[:, j] = -want[:, j]
+        got = _fix_signs(V.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got[:, :2], [[2, 2], [-2, -2]] + [[0, 0]] * 7)
 
     def test_apply_validates_width(self):
         proj = pca(cloud(7, 30, 6), 2)

@@ -264,3 +264,25 @@ class TestReportWriting:
         assert lines[-1].startswith("wall_clock=")
         assert any(line.startswith("summary.mean_rcv=") for line in lines)
         assert any(line == "seed=3" for line in lines)
+
+    def test_metadata_records_numpy_blas_and_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        rep = penalty_curves(points=5)
+        table, meta = rep.write(tmp_path / "a")
+        with open(meta) as fh:
+            pairs = [line.split("=", 1) for line in fh.read().splitlines()]
+        keys = [k for k, _ in pairs]
+        kv = dict(pairs)
+        assert kv["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert kv["blas"] == "%s %s" % (blas["name"], blas["version"])
+        assert kv["OPENBLAS_NUM_THREADS"] == "1"
+        assert kv["OMP_NUM_THREADS"] == "unset"
+        assert keys[-5:-1] == ["numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert keys[-1] == "wall_clock"
+        # The tables record none of it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        again = rep.write(tmp_path / "b")[0]
+        with open(table, "rb") as fa, open(again, "rb") as fb:
+            assert fa.read() == fb.read()
