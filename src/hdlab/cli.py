@@ -35,7 +35,7 @@ from .experiments import (
     variance_experiment,
 )
 from .penalties import parse_penalty
-from .report import write_kv, write_table
+from .report import _runtime, write_kv, write_table
 from .screening import sis_select
 from .solvers import (
     HighConfidenceSetSpec,
@@ -158,6 +158,7 @@ def cmd_fit(args):
         ("kernel_backend", kernels.BACKEND),
     ]
     meta.extend(sorted((k, repr(float(v))) for k, v in extras.items()))
+    meta.extend(_runtime())
     meta.append(("wall_clock", "%.3f" % (time.perf_counter() - t0)))
     write_kv(os.path.join(args.out, "fit_run.txt"), meta)
     print("fit: solver=%s active=%d/%d objective=%.6g -> %s"

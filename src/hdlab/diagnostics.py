@@ -31,6 +31,10 @@ EXACT_SUBSET_CAP = 1_000_000
 # and skipped by greedy selection.
 _COLLINEAR_EPS = 1e-12
 
+# Greedy selection recomputes a candidate from its column once its updated
+# squared residual norm is at most this fraction of its original one.
+_GREEDY_GUARD = 1e-4
+
 
 @dataclass(frozen=True)
 class SpuriousCorrelationReport:
@@ -90,32 +94,56 @@ def max_spurious_corr(data):
     return max_multiple_corr(data, 1).r_hat
 
 
+def _orth_residuals(V, Q):
+    """V minus its projection on the orthonormal columns of Q; Gram-Schmidt
+    twice keeps it orthogonal to Q when most of V lies in their span."""
+    for _ in range(2):
+        V = V - Q @ (Q.T @ V)
+    return V
+
+
 def _greedy_indices(centered, size):
     """Forward selection of `size` columns of C maximizing multiple
     correlation with t, given _centered(C, t). Returns (picks in order, R).
 
-    Keeps an orthonormal basis of the selected columns; each step picks the
-    column whose residual direction gains the most explained variance. The
-    centered columns are deflated in place, so no second n x p copy is held.
+    Each step picks the largest gain dots_j^2 / res_j: res_j is the squared
+    norm of column j's residual after projection on the picks, dots_j its
+    product with t's residual. A new basis vector q is orthogonal to the
+    earlier ones, so q'C_res = q'C, and one product s = q'C updates res -=
+    s^2 and dots -= (q't_res) s; C is not modified. A candidate whose res_j
+    has fallen to _GREEDY_GUARD of its original value, where the subtraction
+    loses digits, is recomputed from its column.
     """
-    Cres, tres, orig_sq, t_sq = centered
+    C, tres, orig_sq, t_sq = centered
+    Q = np.empty((C.shape[0], size))
+    res_sq = orig_sq.copy()
+    dots = C.T @ tres
+    live = np.ones(C.shape[1], dtype=bool)
     picked = []
     proj_sq = 0.0
     for step in range(size):
-        res_sq = np.einsum("ij,ij->j", Cres, Cres)
-        usable = res_sq > _COLLINEAR_EPS * orig_sq
-        if picked:
-            usable[picked] = False
-        if not np.any(usable):
+        basis = Q[:, :step]
+        low = np.flatnonzero(live & (res_sq <= _GREEDY_GUARD * orig_sq))
+        if low.size:
+            resid = _orth_residuals(C[:, low], basis)
+            res_sq[low] = np.einsum("ij,ij->j", resid, resid)
+            dots[low] = resid.T @ tres
+        # A residual norm never grows, so a collinear column stays collinear.
+        live &= res_sq > _COLLINEAR_EPS * orig_sq
+        if not np.any(live):
             break
-        dots = Cres.T @ tres
-        gains = np.where(usable, dots * dots / np.where(usable, res_sq, 1.0), -np.inf)
+        gains = np.where(live, dots * dots / np.where(live, res_sq, 1.0), -np.inf)
         j = int(np.argmax(gains))
-        q = Cres[:, j] / math.sqrt(res_sq[j])
+        r = _orth_residuals(C[:, j], basis)
+        q = r / math.sqrt(r @ r)
+        Q[:, step] = q
         coef = float(q @ tres)
         proj_sq += coef * coef
         tres = tres - coef * q
-        Cres -= np.outer(q, q @ Cres)
+        s = q @ C
+        res_sq -= s * s
+        dots -= coef * s
+        live[j] = False
         picked.append(j)
     R = math.sqrt(proj_sq) / math.sqrt(t_sq)
     return picked, float(min(1.0, R))

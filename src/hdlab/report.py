@@ -5,8 +5,8 @@ Reports carry their full parameterization, so a run can be reconstructed
 from its emitted files alone. Floats are written with repr (shortest
 round-trip form), which makes re-running with the same inputs byte-identical.
 Wall-clock time lives in the metadata file only, never in table CSVs. So do
-the NumPy version, the BLAS library and the BLAS thread settings, on which
-the last bits of tables built on BLAS products depend.
+the Python and NumPy versions, the BLAS library and the BLAS thread
+settings, on which the last bits of tables built on BLAS products depend.
 
 Tables are written the way csv.writer's excel dialect writes the _cell form
 of each value, but a block of rows at a time and one column per pass: a
@@ -19,6 +19,7 @@ line break) or an empty one goes through csv.writer.
 import csv
 import itertools
 import os
+import platform
 import re
 from dataclasses import dataclass, field
 
@@ -133,15 +134,17 @@ class ExperimentReport:
 
 
 def _runtime():
-    """The NumPy version, the BLAS it was built with and the BLAS thread
-    settings, as metadata pairs: the last bits of BLAS products, and so the
-    bytes of the tables built on them (figures 1 and 11), depend on these."""
+    """The Python and NumPy versions, the BLAS NumPy was built with and the
+    BLAS thread settings, as metadata pairs: the last bits of BLAS products,
+    and so the bytes of the tables built on them (figures 1 and 11), depend
+    on these."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = "%s %s" % (blas["name"], blas["version"])
     except (TypeError, KeyError):  # NumPy < 1.25, or a build without the entry
         blas = "unknown"
-    return ([("numpy", np.__version__), ("blas", blas)]
+    return ([("python", platform.python_version()), ("numpy", np.__version__),
+             ("blas", blas)]
             + [(v, os.environ.get(v, "unset"))
                for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")])
 

@@ -12,6 +12,9 @@ which rules out cycling; the price is extra pivots, irrelevant at this scale:
   the tied row whose basic variable has the smallest index leaves.
 
 Pivot elements smaller than EPS in magnitude are treated as zero.
+
+Phase 1 runs only when some b_i < 0. The row multipliers come back with x,
+so a caller may solve the dual LP instead (see solvers.dantzig_selector).
 """
 
 import numpy as np
@@ -52,11 +55,14 @@ def _run_phase(T, cost, basis, width):
 
 
 def linprog_simplex(c, A, b):
-    """Minimize c'x with A x <= b, x >= 0; returns (x, objective, pivots).
+    """Minimize c'x with A x <= b, x >= 0; returns (x, objective, pivots, u).
 
     Raises InfeasibleError (with the phase-1 objective as certificate) or
     UnboundedError. The returned x is a vertex: nonbasic entries are exact
-    zeros.
+    zeros. u, the row multipliers, solves the dual LP max -b'u s.t. A'u + c
+    >= 0, u >= 0 (HiGHS's ineqlin.marginals are -u): the slack columns'
+    final reduced costs, clipped at 0. Phase 1 negates a row together with
+    its slack column, so no sign changes; a row dropped as redundant gets 0.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
@@ -84,6 +90,7 @@ def linprog_simplex(c, A, b):
     T[neg, basis[neg]] = 1.0
 
     pivots = 0
+    dropped = np.empty(0, dtype=np.intp)
     if n_art:
         cost1 = np.zeros(width + 1)
         cost1[nv + m:width] = 1.0
@@ -101,6 +108,7 @@ def linprog_simplex(c, A, b):
                 _pivot(T, None, basis, i, int(row_cols[0]))
                 pivots += 1
         keep = np.flatnonzero(basis < nv + m)
+        dropped = np.flatnonzero(basis >= nv + m)
         T = T[np.ix_(keep, np.r_[:nv + m, width])]
         basis = basis[keep]
         width = nv + m
@@ -117,4 +125,7 @@ def linprog_simplex(c, A, b):
     x = np.zeros(nv)
     structural = basis < nv
     x[basis[structural]] = T[structural, -1]
-    return x, float(c @ x), pivots
+    u = cost2[nv:nv + m]
+    u = np.where(u > 0.0, u, 0.0)
+    u[dropped] = 0.0
+    return x, float(c @ x), pivots, u

@@ -27,9 +27,12 @@ from .penalties import PenaltySpec, penalty_derivative, penalty_value, prox
 from .simplex import linprog_simplex
 
 BEST_SUBSET_MAX_D = 15
-# dantzig_selector's simplex tableau has 2d rows and at most 5d + 1 float64
-# columns, 80 d^2 + 16 d bytes: 80 MB at this cap, 320 MB at d = 2000.
+# dantzig_selector's dual tableau has 2d rows and 4d + 1 float64 columns,
+# 64 d^2 + 16 d bytes: 64 MB at this cap, 256 MB at d = 2000. Its
+# certificate's bounds follow (see dantzig_selector).
 DANTZIG_MAX_D = 1000
+_DANTZIG_DUAL_TOL = 1e-9
+_DANTZIG_GAP_RTOL = 1e-9
 
 # lasso_path: the bound on every returned point's KKT violation, relative
 # to max(1, ||y||/sqrt(n)) (see lasso_path); the coordinate-descent
@@ -355,31 +358,38 @@ def hcs_membership(spec, beta, rtol=1e-9):
 
 
 def dantzig_selector(spec):
-    """Minimum-L1 point of the constraint set, via the simplex LP.
+    """Minimum-L1 point of the constraint set, via the dual simplex LP.
 
-    Splits beta into positive and negative parts and solves the resulting
-    inequality-form LP exactly; the objective field is ||beta||_1 and
-    iterations counts simplex pivots. The returned vertex is checked for
-    feasibility within 1e-8 before being accepted. Raises SizeLimitError,
-    before any allocation, when d exceeds DANTZIG_MAX_D.
+    In x = (beta+, beta-) >= 0 the Dantzig LP is min 1'x s.t. A x <= b, with
+    G = X'X, g = X'y, A = [[G, -G], [-G, G]], b = [gamma + g; gamma - g]; any
+    gamma < |g_j| makes some b_i < 0, so the primal needs a phase 1. A is
+    symmetric, so the dual is min b'lam s.t. -A lam <= 1, lam >= 0: its
+    right-hand side is all ones and phase 1 never runs. x is read from the
+    dual's row multipliers; iterations counts the dual's pivots, and
+    objective is ||beta||_1.
+
+    beta is returned only with a certificate, else SolverError is raised:
+    primal feasibility within 1e-8 (1 + gamma); dual feasibility, lam >= 0
+    and ||G (lam+ - lam-)||_inf <= 1, within _DANTZIG_DUAL_TOL; and a gap
+    |b'lam + ||beta||_1| <= _DANTZIG_GAP_RTOL (||beta||_1 + |b|'lam).
+    Raises SizeLimitError, before any allocation, when d > DANTZIG_MAX_D.
     """
     data = spec.dataset
     X, y = data.X, data.y
     d = data.d
     if d > DANTZIG_MAX_D:
         raise SizeLimitError(
-            "dantzig_selector builds a 2d x (5d+1) simplex tableau; d=%d exceeds "
+            "dantzig_selector builds a 2d x (4d+1) simplex tableau; d=%d exceeds "
             "the cap %d: screen the columns first (hdlab screen, sis_select)"
             % (d, DANTZIG_MAX_D)
         )
     G = X.T @ X
     g = X.T @ y
     gamma = spec.gamma_n
-    A = np.block([[G, -G], [-G, G]])
     b = np.concatenate([gamma + g, gamma - g])
-    c = np.ones(2 * d)
     try:
-        x, _, pivots = linprog_simplex(c, A, b)
+        lam, dual_obj, pivots, x = linprog_simplex(b, np.block([[-G, G], [G, -G]]),
+                                                   np.ones(2 * d))
     except SolverError as exc:
         raise SolverError("dantzig LP failed: %s" % exc)
     beta = x[:d] - x[d:]
@@ -388,7 +398,19 @@ def dantzig_selector(spec):
         raise SolverError(
             "simplex returned an infeasible point: constraint excess %.3e" % slack
         )
+    dual_excess = max(-float(np.min(lam)),
+                      float(np.max(np.abs(G @ (lam[:d] - lam[d:])))) - 1.0)
+    if dual_excess > _DANTZIG_DUAL_TOL:
+        raise SolverError(
+            "simplex returned an infeasible dual point: constraint excess %.3e"
+            % dual_excess
+        )
     obj = float(np.sum(np.abs(beta)))
+    gap = abs(dual_obj + obj)
+    if gap > _DANTZIG_GAP_RTOL * (obj + float(np.abs(b) @ lam)):
+        raise SolverError(
+            "dantzig duality gap %.3e exceeds its bound (||beta||_1 = %.6g)" % (gap, obj)
+        )
     return _finish(data, beta, obj, pivots, True)
 
 

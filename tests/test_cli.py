@@ -1,5 +1,6 @@
 import csv
 import os
+import platform
 import shlex
 import shutil
 import subprocess
@@ -122,6 +123,24 @@ class TestFit:
         assert code == 0
         meta = read_kv(os.path.join(out, "fit_run.txt"))
         assert meta["penalty"] == "scad:3.7"
+
+    def test_sidecars_record_the_runtime(self, tmp_path, csv_data, monkeypatch):
+        # fit_run.txt and a reproduce sidecar both end with the runtime keys,
+        # then wall_clock.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        path, _ = csv_data
+        out = str(tmp_path / "out")
+        assert main(["fit", "--data", path, "--lambda", "0.1", "--out", out]) == 0
+        assert main(["reproduce", "--figure", "4", "--out", out]) == 0
+        runtime = ["python", "numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        for name in ("fit_run.txt", "penalty_curves_params.txt"):
+            meta = read_kv(os.path.join(out, name))
+            assert list(meta)[-6:] == runtime + ["wall_clock"], name
+            assert meta["python"] == platform.python_version()
+            assert meta["numpy"] == np.__version__
+            assert meta["OPENBLAS_NUM_THREADS"] == "1"
+            assert meta["OMP_NUM_THREADS"] == "unset"
 
     def test_cd_rejects_nonconvex_penalty(self, tmp_path, csv_data, capsys):
         path, _ = csv_data

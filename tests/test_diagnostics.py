@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from hdlab import (
     standardize,
 )
 from hdlab.data import _centered, _corr_columns
-from hdlab.diagnostics import _leave_one_out_ks
+import hdlab.diagnostics as diagnostics
+from hdlab.diagnostics import _COLLINEAR_EPS, _greedy_indices, _leave_one_out_ks
 from hdlab.experiments import spurious_correlation_experiment
 
 
@@ -155,6 +157,91 @@ class TestMaxMultipleCorr:
             max_multiple_corr(data, 5)
         with pytest.raises(ConfigurationError):
             max_multiple_corr(data, 2, method="newton")
+
+
+def deflating_greedy(centered, size):
+    """Reference forward selection: deflates a copy of the centered columns
+    against each new basis vector and recomputes every residual norm and
+    target product from the deflated block at every step."""
+    Cres, tres, orig_sq, t_sq = centered
+    Cres = Cres.copy()
+    picked = []
+    proj_sq = 0.0
+    for _ in range(size):
+        res_sq = np.einsum("ij,ij->j", Cres, Cres)
+        usable = res_sq > _COLLINEAR_EPS * orig_sq
+        usable[picked] = False
+        if not np.any(usable):
+            break
+        dots = Cres.T @ tres
+        gains = np.where(usable, dots * dots / np.where(usable, res_sq, 1.0), -np.inf)
+        j = int(np.argmax(gains))
+        q = Cres[:, j] / math.sqrt(res_sq[j])
+        coef = float(q @ tres)
+        proj_sq += coef * coef
+        tres = tres - coef * q
+        Cres -= np.outer(q, q @ Cres)
+        picked.append(j)
+    return picked, min(1.0, math.sqrt(proj_sq) / math.sqrt(t_sq))
+
+
+class TestGreedyAgainstDeflation:
+    def assert_same(self, X, t, size):
+        got = _greedy_indices(_centered(X, t), size)
+        want = deflating_greedy(_centered(X, t), size)
+        assert got[0] == want[0]
+        assert abs(got[1] - want[1]) <= 1e-12
+        return got[0]
+
+    def test_seeded_draws(self):
+        for seed in range(36):
+            rng = np.random.default_rng([90, seed])
+            X = rng.standard_normal((50, 400))
+            # Half the targets carry signal from three columns, so the
+            # picks are not all near ties.
+            t = rng.standard_normal(50) + (seed % 2) * (X[:, :3] @ [1.0, -0.7, 0.5])
+            self.assert_same(X, t, 4 + seed % 3)
+
+    def test_does_not_modify_the_centered_columns(self):
+        rng = np.random.default_rng(91)
+        centered = _centered(rng.standard_normal((30, 50)), rng.standard_normal(30))
+        before = centered[0].copy()
+        _greedy_indices(centered, 5)
+        assert np.array_equal(centered[0], before)
+
+    def copy_design(self, seed, scale):
+        # Column 0 carries the target, and the last column is column 0 plus
+        # scale * noise, so one of the two is picked first.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((50, 400))
+        X[:, -1] = X[:, 0] + scale * rng.standard_normal(50)
+        t = X[:, 0] + 0.5 * rng.standard_normal(50)
+        return X, t
+
+    def test_near_copy_goes_through_the_guard(self, monkeypatch):
+        X, t = self.copy_design(92, 1e-7)
+        guarded = []
+
+        def spy(V, Q):
+            if V.ndim == 2:
+                guarded.extend(V.T.tolist())
+            return orth(V, Q)
+
+        orth = diagnostics._orth_residuals
+        monkeypatch.setattr(diagnostics, "_orth_residuals", spy)
+        picks = self.assert_same(X, t, 5)
+        pair = [0, X.shape[1] - 1]
+        assert picks[0] in pair
+        other = pair[1 - pair.index(picks[0])]
+        assert _centered(X, t)[0][:, other].tolist() in guarded
+        # Its residual, about 1e-7 of its norm, is below _COLLINEAR_EPS.
+        assert other not in picks
+
+    def test_exact_copy_is_skipped(self):
+        X, t = self.copy_design(93, 0.0)
+        picks = self.assert_same(X, t, 5)
+        assert picks[0] in (0, X.shape[1] - 1)
+        assert not {0, X.shape[1] - 1} <= set(picks)
 
 
 class TestGreedySupport:

@@ -19,19 +19,19 @@ class TestKnownInstances:
         c = np.array([-1.0, -1.0])
         A = np.array([[1.0, 2.0], [3.0, 1.0]])
         b = np.array([4.0, 6.0])
-        x, obj, pivots = linprog_simplex(c, A, b)
+        x, obj, pivots, _ = linprog_simplex(c, A, b)
         assert np.allclose(x, [1.6, 1.2], atol=1e-9)
         assert obj == pytest.approx(-2.8, abs=1e-9)
         assert pivots >= 1
 
     def test_origin_optimal(self):
-        x, obj, _ = linprog_simplex(np.array([1.0, 2.0]),
+        x, obj, _, _ = linprog_simplex(np.array([1.0, 2.0]),
                                     np.array([[1.0, 1.0]]), np.array([3.0]))
         assert np.array_equal(x, [0.0, 0.0]) and obj == 0.0
 
     def test_negative_rhs_forces_phase_one(self):
         # x >= 2 encoded as -x <= -2, minimize x.
-        x, obj, _ = linprog_simplex(np.array([1.0]),
+        x, obj, _, _ = linprog_simplex(np.array([1.0]),
                                     np.array([[-1.0]]), np.array([-2.0]))
         assert x[0] == pytest.approx(2.0, abs=1e-9)
         assert obj == pytest.approx(2.0, abs=1e-9)
@@ -40,7 +40,7 @@ class TestKnownInstances:
         # x + y = 1 and minimize 2x + y -> (0, 1).
         A = np.array([[1.0, 1.0], [-1.0, -1.0]])
         b = np.array([1.0, -1.0])
-        x, obj, _ = linprog_simplex(np.array([2.0, 1.0]), A, b)
+        x, obj, _, _ = linprog_simplex(np.array([2.0, 1.0]), A, b)
         assert np.allclose(x, [0.0, 1.0], atol=1e-9)
         assert obj == pytest.approx(1.0, abs=1e-9)
 
@@ -48,8 +48,8 @@ class TestKnownInstances:
         # Both rows block x, with ratios 1 and 1 - 1e-10: within EPS of each
         # other, so they tie, and row 0 leaves because its slack (column 1)
         # has the smaller index, though row 1 has the smaller ratio.
-        x, obj, pivots = linprog_simplex(np.array([-1.0]), np.array([[1.0], [1.0]]),
-                                         np.array([1.0, 1.0 - 1e-10]))
+        x, obj, pivots, _ = linprog_simplex(np.array([-1.0]), np.array([[1.0], [1.0]]),
+                                            np.array([1.0, 1.0 - 1e-10]))
         assert x[0] == 1.0 and pivots == 1
 
     def test_unbounded(self):
@@ -65,7 +65,7 @@ class TestKnownInstances:
     def test_zero_rhs_degenerate(self):
         A = np.array([[1.0, -1.0], [1.0, 1.0]])
         b = np.array([0.0, 2.0])
-        x, obj, _ = linprog_simplex(np.array([-1.0, 0.0]), A, b)
+        x, obj, _, _ = linprog_simplex(np.array([-1.0, 0.0]), A, b)
         ref = scipy_solve(np.array([-1.0, 0.0]), A, b)
         assert obj == pytest.approx(ref.fun, abs=1e-9)
 
@@ -78,17 +78,23 @@ class TestKnownInstances:
             linprog_simplex(np.array([np.inf]), np.ones((1, 1)), np.ones(1))
 
 
+def random_instances():
+    """60 seeded LPs with their HiGHS solutions; about one b entry in six is
+    negative, so phase 1 runs on many of them."""
+    rng = np.random.default_rng(42)
+    for trial in range(60):
+        m = int(rng.integers(2, 10))
+        nv = int(rng.integers(2, 9))
+        A = rng.normal(size=(m, nv))
+        b = rng.normal(loc=1.0, size=m)
+        c = rng.normal(size=nv)
+        yield c, A, b, scipy_solve(c, A, b)
+
+
 class TestRandomAgainstScipy:
     def test_random_instances(self):
-        rng = np.random.default_rng(42)
         solved = 0
-        for trial in range(60):
-            m = int(rng.integers(2, 10))
-            nv = int(rng.integers(2, 9))
-            A = rng.normal(size=(m, nv))
-            b = rng.normal(loc=1.0, size=m)
-            c = rng.normal(size=nv)
-            ref = scipy_solve(c, A, b)
+        for c, A, b, ref in random_instances():
             if ref.status == 2:
                 with pytest.raises(InfeasibleError):
                     linprog_simplex(c, A, b)
@@ -98,12 +104,47 @@ class TestRandomAgainstScipy:
                     linprog_simplex(c, A, b)
                 continue
             assert ref.status == 0
-            x, obj, _ = linprog_simplex(c, A, b)
+            x, obj, _, _ = linprog_simplex(c, A, b)
             solved += 1
             assert obj == pytest.approx(ref.fun, abs=1e-7 * (1.0 + abs(ref.fun)))
             assert np.all(A @ x <= b + 1e-7)
             assert np.all(x >= -1e-12)
         assert solved >= 20  # the sample must actually exercise the solver
+
+    def test_multipliers_solve_the_dual(self):
+        # u >= 0 with A'u + c >= 0 is dual feasible, and c'x = -b'u is strong
+        # duality. Where the optimum is nondegenerate (m of the nv + m
+        # variables x, b - A x are positive) the dual solution is unique, so
+        # u must be HiGHS's, whose marginals are -u.
+        solved = compared = negated = 0
+        for c, A, b, ref in random_instances():
+            if ref.status != 0:
+                continue
+            x, obj, _, u = linprog_simplex(c, A, b)
+            solved += 1
+            assert u.shape == b.shape and np.all(u >= 0.0)
+            assert np.all(A.T @ u + c >= -1e-9)
+            assert abs(obj + b @ u) <= 1e-9 * (1.0 + abs(obj))
+            if np.count_nonzero(np.r_[x, b - A @ x] > 1e-9) == b.size:
+                compared += 1
+                negated += bool(np.any(b < 0))
+                assert np.max(np.abs(u + ref.ineqlin.marginals)) <= 1e-9
+        assert solved >= 20 and compared >= 20 and negated >= 10
+
+    def test_multipliers_of_negated_rows(self):
+        # x >= 2 as -x <= -2 and y >= 1 as -y <= -1, minimize 3x + y: phase 1
+        # negates both rows, and their multipliers are the costs 3 and 1.
+        x, obj, _, u = linprog_simplex(np.array([3.0, 1.0]), -np.eye(2),
+                                       np.array([-2.0, -1.0]))
+        assert np.allclose(x, [2.0, 1.0]) and obj == pytest.approx(7.0)
+        assert np.array_equal(u, [3.0, 1.0])
+
+    def test_multipliers_of_slack_rows_are_zero(self):
+        # Only row 1 binds at the optimum (0, 4) of max y.
+        x, _, _, u = linprog_simplex(np.array([0.0, -1.0]),
+                                     np.array([[1.0, 0.0], [0.0, 1.0]]),
+                                     np.array([5.0, 4.0]))
+        assert np.array_equal(x, [0.0, 4.0]) and np.array_equal(u, [0.0, 1.0])
 
     def test_vertex_structure(self):
         rng = np.random.default_rng(5)
@@ -114,7 +155,7 @@ class TestRandomAgainstScipy:
         c = -np.abs(rng.normal(size=4)) - 0.1
         ref = scipy_solve(c, A, b)
         assert ref.status == 0
-        x, obj, _ = linprog_simplex(c, A, b)
+        x, obj, _, _ = linprog_simplex(c, A, b)
         assert obj == pytest.approx(ref.fun, abs=1e-9)
         assert np.any(x > 0.0)
         # Nonbasic coordinates come back as exact zeros.

@@ -428,6 +428,69 @@ class TestDantzig:
         with pytest.raises(SizeLimitError, match="screen"):
             dantzig_selector(spec)
 
+    def perturbed(self, monkeypatch, change):
+        """Route dantzig_selector's LP through `change`, which edits the
+        (lam, objective, pivots, multipliers) tuple of the real solve."""
+        import hdlab.solvers as solvers
+
+        real = solvers.linprog_simplex
+        monkeypatch.setattr(solvers, "linprog_simplex",
+                            lambda c, A, b: change(*real(c, A, b)))
+        data = sparse_problem(84, n=30, d=8)
+        return HighConfidenceSetSpec(data, 0.4 * float(np.max(np.abs(data.X.T @ data.y))))
+
+    def test_perturbed_multipliers_raise(self, monkeypatch):
+        # Scaling the multipliers by 1 + 1e-6 moves beta off the optimum by
+        # far more than the gap bound allows (and off the constraint set).
+        spec = self.perturbed(monkeypatch,
+                              lambda lam, obj, piv, u: (lam, obj, piv, u * (1.0 + 1e-6)))
+        with pytest.raises(SolverError):
+            dantzig_selector(spec)
+
+    def test_infeasible_dual_point_raises(self, monkeypatch):
+        # The optimal dual point meets some |G w|_j <= 1 with equality, so
+        # doubling it leaves the dual feasible set.
+        spec = self.perturbed(monkeypatch, lambda lam, obj, piv, u: (2.0 * lam, obj, piv, u))
+        with pytest.raises(SolverError, match="infeasible dual point"):
+            dantzig_selector(spec)
+
+    def test_duality_gap_raises(self, monkeypatch):
+        # Half the dual point stays feasible but its objective halves.
+        spec = self.perturbed(monkeypatch,
+                              lambda lam, obj, piv, u: (0.5 * lam, 0.5 * obj, piv, u))
+        with pytest.raises(SolverError, match="duality gap"):
+            dantzig_selector(spec)
+
+    def test_certificate_on_the_readme_model(self, monkeypatch):
+        # The README quick-start model at the default radius: the dual point
+        # and the gap are within their bounds, and no phase 1 runs.
+        import hdlab.solvers as solvers
+
+        raw = gen_linear(LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5},
+                                         noise_sd=0.5), seed=7)
+        data = standardize(Dataset(raw.X, raw.y - raw.y.mean()))
+        spec = HighConfidenceSetSpec(data, default_gamma_n(data))
+        calls = []
+        real = solvers.linprog_simplex
+
+        def spy(c, A, b):
+            calls.append((c, A, b, real(c, A, b)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(solvers, "linprog_simplex", spy)
+        fit = dantzig_selector(spec)
+        (b, negA, ones, (lam, dual_obj, pivots, _)), = calls
+        assert np.array_equal(ones, np.ones(800)) and pivots == fit.iterations
+        G = data.X.T @ data.X
+        assert np.array_equal(negA[:400, :400], -G)
+        assert np.min(lam) >= 0.0
+        assert np.max(np.abs(G @ (lam[:400] - lam[400:]))) <= 1.0 + solvers._DANTZIG_DUAL_TOL
+        l1 = float(np.sum(np.abs(fit.beta_hat)))
+        assert fit.objective == l1 > 0.0
+        assert abs(dual_obj + l1) <= solvers._DANTZIG_GAP_RTOL * (l1 + np.abs(b) @ lam)
+        assert hcs_membership(spec, fit.beta_hat)
+        assert {0, 3} <= set(fit.active_set.tolist())
+
     def test_default_radius(self):
         data = sparse_problem(80, n=50, d=20)
         sigma = float(np.std(data.y, ddof=1))
