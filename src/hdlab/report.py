@@ -59,7 +59,7 @@ def _format_block(block):
         if any(not s or _NEEDS_CSV.search(s) for s in set(cells)):
             return None
         columns.append(cells)
-    return "".join(",".join(line) + "\r\n" for line in zip(*columns))
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
 
 def write_table(path, header, rows):

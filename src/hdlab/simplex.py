@@ -62,7 +62,7 @@ def linprog_simplex(c, A, b):
     zeros. u, the row multipliers, solves the dual LP max -b'u s.t. A'u + c
     >= 0, u >= 0 (HiGHS's ineqlin.marginals are -u): the slack columns'
     final reduced costs, clipped at 0. Phase 1 negates a row together with
-    its slack column, so no sign changes; a row dropped as redundant gets 0.
+    its slack column, so no sign changes.
     """
     c = np.asarray(c, dtype=np.float64)
     A = np.asarray(A, dtype=np.float64)
@@ -90,7 +90,6 @@ def linprog_simplex(c, A, b):
     T[neg, basis[neg]] = 1.0
 
     pivots = 0
-    dropped = np.empty(0, dtype=np.intp)
     if n_art:
         cost1 = np.zeros(width + 1)
         cost1[nv + m:width] = 1.0
@@ -99,18 +98,17 @@ def linprog_simplex(c, A, b):
         phase1_obj = -cost1[-1]
         if phase1_obj > 1e-7 * (1.0 + float(np.abs(b).max())):
             raise InfeasibleError("LP infeasible: phase-1 objective %.3e > 0" % phase1_obj)
-        # Any artificial still basic sits at level zero: pivot it out on a
-        # structural/slack column, or drop its row as redundant. Each pivot
-        # changes the rows after it, so this goes one row at a time.
+        # Any artificial still basic sits at level zero: pivot it out on the
+        # first structural/slack column with a nonzero entry in its row. One
+        # always exists: a negated row's slack column starts as the exact
+        # negative of its artificial column, and row operations keep it so,
+        # so a basic artificial (a unit column) has -1 in that slack column.
+        # Each pivot changes the rows after it, so this goes one row at a
+        # time; every row stays, and only the artificial columns go.
         for i in np.flatnonzero(basis >= nv + m):
-            row_cols = np.flatnonzero(np.abs(T[i, :nv + m]) > EPS)
-            if row_cols.size:
-                _pivot(T, None, basis, i, int(row_cols[0]))
-                pivots += 1
-        keep = np.flatnonzero(basis < nv + m)
-        dropped = np.flatnonzero(basis >= nv + m)
-        T = T[np.ix_(keep, np.r_[:nv + m, width])]
-        basis = basis[keep]
+            _pivot(T, None, basis, i, int(np.argmax(np.abs(T[i, :nv + m]) > EPS)))
+            pivots += 1
+        T = T[:, np.r_[:nv + m, width]]
         width = nv + m
 
     # Accumulated in row order, one basic row at a time, as the sum's
@@ -127,5 +125,4 @@ def linprog_simplex(c, A, b):
     x[basis[structural]] = T[structural, -1]
     u = cost2[nv:nv + m]
     u = np.where(u > 0.0, u, 0.0)
-    u[dropped] = 0.0
     return x, float(c @ x), pivots, u

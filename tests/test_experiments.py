@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hdlab import ConfigurationError, PenaltySpec, ValidationError, penalty_value
+from hdlab import ConfigurationError, PenaltySpec, ValidationError, experiments, penalty_value
 from hdlab.experiments import (
     endogeneity_experiment,
     noise_accumulation_experiment,
@@ -13,6 +13,7 @@ from hdlab.experiments import (
     spurious_correlation_experiment,
     variance_experiment,
 )
+from hdlab.solvers import kkt_violation, lasso_path
 
 
 SMALL_NOISE = dict(m_list=(2, 10, 60), n_per_class=40, d=60,
@@ -228,6 +229,32 @@ class TestEndogeneityExperiment:
         a = endogeneity_experiment(**SMALL_ENDO)
         b = endogeneity_experiment(**SMALL_ENDO)
         assert a.table("summary")[1] == b.table("summary")[1]
+
+    @pytest.mark.parametrize("config", [SMALL_ENDO, dict(seed=0)], ids=["small", "defaults"])
+    def test_final_fit_starts_from_the_path_point(self, monkeypatch, config):
+        # The fit at lambda* is warm-started from the certified homotopy
+        # point, so coordinate descent only confirms it. It keeps the
+        # positional (data, lambda*) call that run traces capture.
+        calls = []
+        coord_descent_l1 = experiments.coord_descent_l1
+
+        def spy(*args, **kwargs):
+            fit = coord_descent_l1(*args, **kwargs)
+            calls.append((args, fit))
+            return fit
+
+        monkeypatch.setattr(experiments, "coord_descent_l1", spy)
+        rep = endogeneity_experiment(**config)
+        summary = rep.table("summary")[1]
+        assert len(calls) == len(summary) == 2
+        for ((data, lam), fit), row in zip(calls, summary):
+            assert lam == row[5] and fit.active_set.size == row[4]
+            assert fit.converged and fit.iterations <= 2
+            assert kkt_violation(data, fit.beta_hat, lam) <= 1e-12
+            start = lasso_path(data, [lam]).betas[0]
+            assert np.max(np.abs(fit.beta_hat - start)) <= 1e-12
+        # Plain floats: the report writer formats a column of them in one pass.
+        assert all(type(row[2]) is float for row in rep.table("correlations")[1])
 
     def test_validation(self):
         with pytest.raises(ValidationError):

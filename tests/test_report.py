@@ -34,6 +34,9 @@ TABLES = {
                        ["plain", "x", "y", "z"]],
     "empty strings": [["", "x", "", 1.0], ["y", "", "z", 2.0]],
     "single empty cell": [[""], ["x"]],
+    "one row of strings and floats": [["planted", "raw", -0.25]],
+    "strings and floats": [["planted" if i % 2 else "exogenous", "permuted", i * 0.37 - 4.1,
+                            np.float64(i) / 7.0 if i % 3 else i / 7.0] for i in range(257)],
     "more rows than a block": many_rows(2 * report._BLOCK_ROWS + 5),
     "a quoted cell in the second block": many_rows(2 * report._BLOCK_ROWS + 5,
                                                    quoted_at=report._BLOCK_ROWS + 1),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hdlab import InfeasibleError, UnboundedError, ValidationError
+from hdlab import InfeasibleError, UnboundedError, ValidationError, simplex
 from hdlab.simplex import linprog_simplex
 
 
@@ -68,6 +68,33 @@ class TestKnownInstances:
         x, obj, _, _ = linprog_simplex(np.array([-1.0, 0.0]), A, b)
         ref = scipy_solve(np.array([-1.0, 0.0]), A, b)
         assert obj == pytest.approx(ref.fun, abs=1e-9)
+
+    @pytest.mark.parametrize("c, A, b", [
+        ([2.0], [[-1.0], [1.0], [-1.0]], [-1.0, 1.0, -1.0]),
+        ([-1.0], [[-1.0], [1.0], [-1.0]], [-2.0, 2.0, -2.0]),
+        ([1.0, 2.0], [[-1.0, -1.0], [-1.0, -1.0], [1.0, 0.0]], [-2.0, -2.0, 5.0]),
+    ])
+    def test_duplicated_negative_row(self, monkeypatch, c, A, b):
+        # A row with b < 0 and its duplicate: in the first two instances an
+        # artificial is still basic after phase 1 and is pivoted out (the
+        # _pivot calls without a cost row), and every row is kept.
+        c, A, b = np.array(c), np.array(A), np.array(b)
+        cleanups = []
+        pivot = simplex._pivot
+
+        def spy(T, cost, basis, row, col):
+            cleanups.append(cost is None)
+            return pivot(T, cost, basis, row, col)
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        x, obj, _, u = linprog_simplex(c, A, b)
+        ref = scipy_solve(c, A, b)
+        assert ref.status == 0
+        assert obj == pytest.approx(ref.fun, abs=1e-12)
+        assert np.all(A @ x <= b + 1e-12) and np.all(x >= 0.0)
+        assert u.shape == b.shape and np.all(u >= 0.0)
+        assert np.all(A.T @ u + c >= -1e-12) and obj + b @ u == pytest.approx(0.0, abs=1e-12)
+        assert any(cleanups) == (c.size == 1)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
