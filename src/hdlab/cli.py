@@ -119,6 +119,8 @@ def cmd_fit(args):
     data = _load_data(args, need_y=True)
     os.makedirs(args.out, exist_ok=True)
     extras = {}
+    if args.standardize:
+        extras["intercept"] = data.transform[2]  # the mean of y
     if args.lambda_grid is not None:
         grid = _parse_grid(args.lambda_grid)
         # cd leaves the grid to the exact Lasso path, which needs no tolerance.
@@ -408,7 +410,7 @@ def build_parser():
                             "sd(y) * sqrt(2 * n * log(d)) (1 when omitted); "
                             "only with --solver dantzig and no radius given")
     p_fit.add_argument("--standardize", action="store_true",
-                       help="standardize columns before fitting")
+                       help="standardize columns and center y before fitting")
     p_fit.add_argument("--out", default="hdlab_out")
     p_fit.set_defaults(func=cmd_fit)
 

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateColumnError,
+    NotStandardizedError,
     UndefinedCorrelationError,
     ValidationError,
 )
@@ -39,11 +40,14 @@ class Dataset:
     X : (n, d) array of finite floats.
     y : optional (n,) response vector.
     column_names : optional tuple of d names; defaults to x1..xd on CSV output.
+    transform : None, except on a standardize() output: the (x_mean, x_sd,
+        y_mean) it removed.
     """
 
     X: np.ndarray
     y: np.ndarray = None
     column_names: tuple = None
+    transform: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = _as_matrix(self.X)
@@ -84,6 +88,13 @@ class Dataset:
         if self.y is None:
             raise ValidationError("this operation needs a response vector y")
         return self.y
+
+    def require_standardized(self, what):
+        """Raise NotStandardizedError unless the columns have mean ~0 and sd ~1.
+        A standardize() output passes unchecked: its X was made there, read-only."""
+        if self.transform is None and not is_standardized(self.X):
+            raise NotStandardizedError(
+                "%s need standardized columns; run standardize() first" % what)
 
 
 @dataclass(frozen=True)
@@ -205,21 +216,27 @@ def gen_spiked(n, d, spike_count=10, spike_sd=5.0, seed=0):
 
 
 def standardize(data):
-    """Center every column and scale to unit standard deviation (ddof=1).
+    """Center every column and scale to unit standard deviation (ddof=1), and
+    center the response when there is one; `transform` records both, so a raw
+    row x is fitted as y_mean + ((x - x_mean) / x_sd) @ beta.
 
     Raises DegenerateColumnError naming the first constant column. Requires
-    n >= 2. The response is passed through untouched.
+    n >= 2.
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
-    X = data.X
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0, ddof=1)
+    mu = data.X.mean(axis=0)
+    Xc = data.X - mu
+    sd = np.sqrt((Xc * Xc).sum(axis=0) / (data.n - 1))  # as np.std(ddof=1) does
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         j = int(bad[0])
         raise DegenerateColumnError("column %s is constant" % data.name_of(j))
-    return Dataset((X - mu) / sd, data.y, data.column_names)
+    Xc /= sd
+    y_mean = None if data.y is None else float(data.y.mean())
+    out = Dataset(Xc, None if data.y is None else data.y - y_mean, data.column_names)
+    object.__setattr__(out, "transform", (mu, sd, y_mean))
+    return out
 
 
 def is_standardized(X, mean_tol=1e-8, sd_tol=1e-6):

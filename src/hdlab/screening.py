@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_int, is_standardized
-from .errors import ConfigurationError, NotStandardizedError
+from .data import is_int
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class ScreeningResult:
 def marginal_coefficients(data):
     """Componentwise regression coefficients X'y/n on standardized columns."""
     y = data.require_y()
-    if not is_standardized(data.X):
-        raise NotStandardizedError("marginal screening needs standardized columns")
+    data.require_standardized("marginal screening")
     return data.X.T @ y / data.n
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import Dataset, is_int, is_standardized
+from .data import Dataset, is_int, standardize
 from .errors import (
     ConfigurationError,
-    NotStandardizedError,
+    DegenerateColumnError,
     SingularityError,
     SizeLimitError,
     SolverError,
@@ -79,13 +79,6 @@ def _finish(data, beta, objective, iterations, converged, trace=None):
                      bool(converged), trace)
 
 
-def _require_standardized(data):
-    if not is_standardized(data.X):
-        raise NotStandardizedError(
-            "penalized solvers need standardized columns; run standardize() first"
-        )
-
-
 def _quadratic_loss(data, beta):
     r = data.y - data.X @ beta
     return float(r @ r) / (2.0 * data.n)
@@ -108,7 +101,7 @@ def coord_descent_weighted_l1(data, weights, beta_init=None, tol=1e-10, max_iter
     data. The `objective` field reports that weighted value.
     """
     y = data.require_y()
-    _require_standardized(data)
+    data.require_standardized("penalized solvers")
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if weights.shape != (data.d,):
         raise ValidationError("weights must have shape (%d,)" % data.d)
@@ -190,7 +183,7 @@ def ista(data, penalty, step=None, tol=1e-10, max_iter=5000):
     penalty raises StepSizeError.
     """
     y = data.require_y()
-    _require_standardized(data)
+    data.require_standardized("penalized solvers")
     if not isinstance(penalty, PenaltySpec):
         raise ConfigurationError("penalty must be a PenaltySpec")
     X = data.X
@@ -249,7 +242,7 @@ def lla(data, penalty, init=None, tol=1e-8, max_outer=100, inner_tol=1e-10,
     if penalty.family not in ("scad", "mcp"):
         raise ConfigurationError("the reweighted scheme needs a scad or mcp penalty")
     data.require_y()
-    _require_standardized(data)
+    data.require_standardized("penalized solvers")
     if max_outer < 1:
         raise ConfigurationError("max_outer must be >= 1")
     if init is None:
@@ -660,7 +653,7 @@ def lasso_path(data, lambda_grid):
     Duplicate and unsorted grids are accepted; rows follow the given order.
     """
     y = data.require_y()
-    _require_standardized(data)
+    data.require_standardized("penalized solvers")
     grid = _check_grid(lambda_grid)
     levels, where = np.unique(-grid, return_inverse=True)
     levels = -levels
@@ -690,18 +683,21 @@ def lasso_path(data, lambda_grid):
 def cross_validate(data, lambda_grid, folds, seed, solver=None):
     """K-fold cross-validation over a lambda grid.
 
-    Folds come from a seeded permutation split (np.array_split order); each
-    training fold is standardized internally and its column transform is
-    applied to the held-out rows, so the solver's standardization contract
-    holds within every fold. Returns (lambda_star, cv_curve) where cv_curve
-    is the pooled held-out mean squared error aligned with lambda_grid, and
-    lambda_star is the largest lambda attaining the minimum.
+    Folds come from a seeded permutation split (np.array_split order). Each
+    training fold goes through standardize(), so the solvers' contract holds
+    within it; the held-out rows are mapped with the fold's transform and
+    predicted as the training mean of y plus X beta. Returns (lambda_star,
+    cv_curve) where cv_curve is the pooled held-out mean squared error
+    aligned with lambda_grid, and lambda_star is the largest lambda
+    attaining the minimum.
 
     With solver=None each fold runs one exact Lasso path (lasso_path) over
     the whole grid. Otherwise `solver` is a handle taking (train_dataset,
     lam, beta_init) and returning a FitResult; the grid is then traversed
-    from largest to smallest lambda with warm starts, and a fit that reports
-    converged=False raises SolverError.
+    from largest to smallest lambda with beta_init the previous fit (None
+    first), a warm start the handle may ignore (the CLI's do: for lla it
+    would change the estimate). A fit reporting converged=False raises
+    SolverError.
     """
     y = data.require_y()
     grid = _check_grid(lambda_grid)
@@ -718,16 +714,13 @@ def cross_validate(data, lambda_grid, folds, seed, solver=None):
     sq_err = np.zeros(grid.size)
     for i, test_idx in enumerate(chunks):
         train_idx = np.concatenate([chunks[k] for k in range(folds) if k != i])
-        Xtr = data.X[train_idx]
-        mu = Xtr.mean(axis=0)
-        sd = Xtr.std(axis=0, ddof=1)
-        if np.any(sd == 0.0):
-            j = int(np.flatnonzero(sd == 0.0)[0])
-            raise ConfigurationError(
-                "column %s is constant within a training fold" % data.name_of(j)
-            )
-        train = Dataset((Xtr - mu) / sd, y[train_idx])
-        Xte = (data.X[test_idx] - mu) / sd
+        try:
+            train = standardize(Dataset(data.X[train_idx], y[train_idx], data.column_names))
+        except DegenerateColumnError as exc:
+            raise ConfigurationError("%s within a training fold" % exc) from None
+        x_mean, x_sd, y_mean = train.transform
+        Xte = (data.X[test_idx] - x_mean) / x_sd
+        yte = y[test_idx] - y_mean
         if solver is None:
             path = lasso_path(train, grid).betas
         beta = None
@@ -742,7 +735,7 @@ def cross_validate(data, lambda_grid, folds, seed, solver=None):
                         "did not converge" % (grid[idx], i + 1, folds)
                     )
                 beta = fit.beta_hat
-            resid = y[test_idx] - Xte @ beta
+            resid = yte - Xte @ beta
             sq_err[idx] += float(resid @ resid)
     cv_curve = sq_err / data.n
     at_min = np.flatnonzero(cv_curve == cv_curve.min())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hdlab import (
+    Dataset,
     HighConfidenceSetSpec,
     LinearModelSpec,
     best_subset_l0,
@@ -309,6 +310,26 @@ class TestFit:
         code = main(["fit", "--data", str(path), "--lambda", "0.1",
                      "--standardize", "--out", str(tmp_path / "o")])
         assert code == 0
+
+    def test_standardize_records_the_intercept(self, tmp_path, csv_data):
+        spec = LinearModelSpec(n=40, d=4, beta={1: 1.0}, noise_sd=0.5)
+        raw = gen_linear(spec, 11)
+        coefs = []
+        for shift in (0.0, 5.0):
+            path = tmp_path / ("raw%g.csv" % shift)
+            write_csv(Dataset(raw.X, raw.y + shift), path)
+            out = str(tmp_path / ("o%g" % shift))
+            assert main(["fit", "--data", str(path), "--lambda", "0.1",
+                         "--standardize", "--out", out]) == 0
+            meta = read_kv(os.path.join(out, "fit_run.txt"))
+            assert meta["intercept"] == repr(float(read_csv(path).y.mean()))
+            _, rows = read_table(os.path.join(out, "fit_coefficients.csv"))
+            coefs.append(np.array([float(r[2]) for r in rows]))
+        assert float(meta["intercept"]) == pytest.approx(raw.y.mean() + 5.0, abs=1e-12)
+        assert np.allclose(coefs[1], coefs[0], rtol=0.0, atol=1e-12)
+        out = str(tmp_path / "plain")
+        assert main(["fit", "--data", csv_data[0], "--lambda", "0.1", "--out", out]) == 0
+        assert "intercept" not in read_kv(os.path.join(out, "fit_run.txt"))
 
     def test_unstandardized_input_fails_cleanly(self, tmp_path, capsys):
         spec = LinearModelSpec(n=40, d=4, beta={1: 1.0}, noise_sd=0.5)

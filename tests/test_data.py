@@ -168,9 +168,33 @@ class TestStandardize:
     def test_is_standardized_rejects_raw(self):
         assert not is_standardized(gen_iid_gaussian(50, 3, seed=1).X * 7.0 + 3.0)
 
-    def test_passes_y_through(self):
-        raw = Dataset(np.random.default_rng(0).normal(5, 3, (20, 2)), np.arange(20.0))
-        assert np.array_equal(standardize(raw).y, raw.y)
+    def test_centers_y_and_records_the_transform(self):
+        raw = Dataset(np.random.default_rng(0).normal(5, 3, (20, 2)), np.arange(20.0),
+                      ("a", "b"))
+        ds = standardize(raw)
+        assert np.array_equal(ds.y, np.arange(20.0) - 9.5)
+        x_mean, x_sd, y_mean = ds.transform
+        assert y_mean == 9.5
+        assert np.array_equal(x_mean, raw.X.mean(axis=0))
+        assert np.array_equal(x_sd, raw.X.std(axis=0, ddof=1))
+        assert np.array_equal(ds.X, (raw.X - x_mean) / x_sd)
+        assert ds.column_names == ("a", "b")
+        assert not ds.X.flags.writeable
+        # Only standardize sets the record; a Dataset built by hand has none,
+        # and it takes no part in equality.
+        assert raw.transform is None
+        assert Dataset(ds.X, ds.y, ds.column_names).transform is None
+        assert Dataset(ds.X, ds.y, ds.column_names) == ds
+        with pytest.raises(TypeError):
+            Dataset(raw.X, raw.y, None, ds.transform)
+        assert standardize(Dataset(raw.X)).transform[2] is None
+
+    def test_standardize_matches_two_pass_formula(self):
+        # The two-pass reference standardize once used: the mean, then np.std.
+        for n, d, seed in [(400, 5000, 0), (200, 200, 1), (160, 200, 2), (60, 800, 3)]:
+            X = np.random.default_rng(seed).normal(2.0, 3.0, (n, d))
+            ref = (X - X.mean(0)) / X.std(0, ddof=1)
+            assert np.array_equal(standardize(Dataset(X)).X, ref)
 
 
 class TestSampleCorr:

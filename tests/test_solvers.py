@@ -771,6 +771,26 @@ class TestLassoPath:
         assert path.polished == 0
         assert sorted(calls, reverse=True) == list(grid)
 
+    def test_standardize_output_skips_the_column_check(self, monkeypatch):
+        import hdlab.data
+
+        calls = []
+        real = hdlab.data.is_standardized
+
+        def spy(X, *args):
+            calls.append(X.shape)
+            return real(X, *args)
+
+        monkeypatch.setattr(hdlab.data, "is_standardized", spy)
+        data, lam_max = lasso_fold_problem(12)
+        assert data.transform is not None
+        grid = [lam_max / 2, lam_max / 10]
+        path = lasso_path(data, grid)
+        assert calls == []
+        by_hand = lasso_path(Dataset(data.X, data.y), grid)
+        assert calls == [data.X.shape]
+        assert np.array_equal(by_hand.betas, path.betas)
+
     def test_requires_standardized_design(self):
         rng = np.random.default_rng(13)
         data = Dataset(rng.standard_normal((30, 5)) * 3.0 + 1.0, rng.standard_normal(30))
@@ -807,6 +827,44 @@ class TestCrossValidate:
         assert np.allclose(curve_big, curve * 1e16, rtol=1e-9, atol=0.0)
         lam_shift, _ = cross_validate(Dataset(data.X, data.y + 1e8), grid, folds=5, seed=0)
         assert lam_shift in grid
+
+    def test_response_shift_leaves_the_choice(self):
+        # Each fold centers its response, so a constant added to y moves
+        # neither the fits nor the held-out errors (the README model).
+        spec = LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5}, noise_sd=0.5)
+        data = standardize(gen_linear(spec, seed=7))
+        grid = np.geomspace(0.5, 0.01, 20)
+        lam, curve = cross_validate(data, grid, folds=5, seed=0)
+        for shift in (5.0, 1e3):
+            lam_s, curve_s = cross_validate(Dataset(data.X, data.y + shift), grid,
+                                            folds=5, seed=0)
+            assert lam_s == lam
+            assert np.allclose(curve_s, curve, rtol=1e-9, atol=0.0)
+
+    def test_held_out_rows_are_predicted_from_the_training_mean(self):
+        # Above lambda_max the fit is beta = 0, which predicts every held-out
+        # row by the mean of y over its training fold (a raw design and y).
+        rng = np.random.default_rng(107)
+        X = 4.0 + 3.0 * rng.standard_normal((30, 5))
+        y = 10.0 + rng.standard_normal(30)
+        data = Dataset(X, y, ("a", "b", "c", "d", "e"))
+        seen = []
+
+        def cd(ds, lam, beta_init):
+            seen.append(ds)
+            return coord_descent_l1(ds, lam)
+
+        _, curve = cross_validate(data, [100.0], folds=3, seed=4, solver=cd)
+        chunks = np.array_split(np.random.default_rng(4).permutation(30), 3)
+        expected = 0.0
+        for i, test_idx in enumerate(chunks):
+            train_idx = np.concatenate([c for k, c in enumerate(chunks) if k != i])
+            expected += float(np.sum((y[test_idx] - y[train_idx].mean()) ** 2))
+            ds = seen[i]
+            assert ds.column_names == data.column_names
+            assert np.array_equal(ds.X, standardize(Dataset(X[train_idx])).X)
+            assert ds.transform[2] == y[train_idx].mean()
+        assert curve[0] == pytest.approx(expected / 30, rel=1e-12)
 
     def test_near_duplicate_column_leaves_the_curve(self):
         # A copy of column 0 with 1e-8 noise added must not change the
@@ -913,7 +971,8 @@ class TestCrossValidate:
         for seed in range(50):
             perm = np.random.default_rng(seed).permutation(6)
             if 5 in np.array_split(perm, 2)[0]:
-                with pytest.raises(ConfigurationError):
+                with pytest.raises(ConfigurationError,
+                                   match="x1 is constant within a training fold"):
                     cross_validate(data, [0.1], folds=2, seed=seed)
                 return
         raise AssertionError("no split isolated the varying row")
