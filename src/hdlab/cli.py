@@ -34,7 +34,7 @@ from .experiments import (
     spurious_correlation_experiment,
     variance_experiment,
 )
-from .penalties import parse_penalty
+from .penalties import parse_penalty, penalty_derivative
 from .report import _runtime, write_kv, write_table
 from .screening import sis_select
 from .solvers import (
@@ -79,7 +79,7 @@ def _solver(args):
     dantzig, lam is the constraint radius gamma_n. A penalty that cd cannot
     minimize is rejected here, before any fit runs.
     """
-    kw = {"tol": args.tol} if args.tol else {}
+    kw = {"tol": args.tol} if args.tol is not None else {}
     if args.solver == "cd":
         # Any lam > 0 will do: only the family is checked.
         family = parse_penalty(args.penalty, 1.0, args.gamma).family
@@ -142,6 +142,11 @@ def cmd_fit(args):
     fit = solve(data, lam, None)
     if args.solver == "cd":
         extras["kkt_violation"] = kkt_violation(data, fit.beta_hat, lam)
+    elif args.solver == "lla":
+        # Folded-concave stationarity: the L1 conditions at weights P'(|b|).
+        pen = parse_penalty(args.penalty, lam, args.gamma)
+        extras["kkt_violation"] = kkt_violation(
+            data, fit.beta_hat, penalty_derivative(pen, np.abs(fit.beta_hat)))
 
     coef_path = os.path.join(args.out, "fit_coefficients.csv")
     write_table(coef_path, ["index", "name", "coefficient"],

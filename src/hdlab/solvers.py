@@ -44,6 +44,9 @@ _POLISH_TOL = 1e-12
 _POLISH_SWEEPS = 100
 _POLISH_ROUNDS = 200
 _GRAM_PIVOT_FLOOR = 1e-14
+# lla: the bound on an exact round's weighted KKT violation, on the same
+# max(1, ||y||/sqrt(n)) scale (see _exact_round).
+_EXACT_KKT_TOL = 1e-12
 
 
 @dataclass
@@ -186,6 +189,8 @@ def ista(data, penalty, step=None, tol=1e-10, max_iter=5000):
     data.require_standardized("penalized solvers")
     if not isinstance(penalty, PenaltySpec):
         raise ConfigurationError("penalty must be a PenaltySpec")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigurationError("tol must be positive")
     X = data.X
     n = data.n
     L = largest_gram_eigenvalue(X)
@@ -227,44 +232,90 @@ def ista(data, penalty, step=None, tol=1e-10, max_iter=5000):
     return _finish(data, beta, obj, it, converged, trace=trace)
 
 
+def _exact_round(data, weights, beta, bound):
+    """The weighted-L1 minimizer on the support and signs of beta, or None.
+
+    With A the support of beta and s_A its signs, solves
+    X_A'X_A b_A / n = X_A'y/n - w_A * s_A. The solution is the minimizer
+    only if its signs are s_A and it meets the weighted KKT conditions
+    everywhere, so it is returned only when sign(b_A) = s_A and
+    kkt_violation(data, b, weights) <= bound. None also when the support
+    is empty or has n or more columns (standardized columns are centered,
+    so n of them have a singular Gram matrix), or when the solve fails.
+    """
+    A = np.flatnonzero(beta)
+    if A.size == 0 or A.size >= data.n:
+        return None
+    signs = np.sign(beta[A])
+    XA = data.X[:, A]
+    try:
+        coef = np.linalg.solve(XA.T @ XA / data.n,
+                               XA.T @ data.y / data.n - weights[A] * signs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.array_equal(np.sign(coef), signs):
+        return None
+    exact = np.zeros(data.d)
+    exact[A] = coef
+    if not kkt_violation(data, exact, weights) <= bound:
+        return None
+    return exact
+
+
 def lla(data, penalty, init=None, tol=1e-8, max_outer=100, inner_tol=1e-10,
         inner_max_iter=20000):
     """Local linear approximation for the folded-concave penalties.
 
-    Each outer round freezes weights w_j = P'(|b_j|) and solves the weighted
-    L1 problem by coordinate descent, warm-started from the current iterate
-    so the true penalized objective (tracked in objective_trace) never
-    increases. From a zero start the first round is exactly the Lasso at the
-    penalty's lam. Stops when the weight vector moves less than tol in sup
-    norm, or after max_outer rounds. The fit counts as converged only when
-    the weights settled and the last inner solve converged.
+    Each outer round freezes weights w_j = P'(|b_j|) and minimizes the
+    weighted L1 problem, so the true penalized objective (tracked in
+    objective_trace) never increases (Zou & Li 2008). A round first tries
+    the exact solution on the current support and signs, one linear solve
+    (_exact_round), kept only when its signs hold and its weighted KKT
+    violation is at most _EXACT_KKT_TOL * max(1, ||y||/sqrt(n)). Otherwise,
+    and always from a zero start, the round is coordinate descent
+    warm-started from the current iterate; so from a zero start the first
+    round is exactly the Lasso at the penalty's lam. Stops when the weight
+    vector moves less than tol in sup norm, or after max_outer rounds. The
+    fit counts as converged only when the weights settled and the last
+    round was exact or its coordinate descent converged.
     """
     if penalty.family not in ("scad", "mcp"):
         raise ConfigurationError("the reweighted scheme needs a scad or mcp penalty")
-    data.require_y()
+    y = data.require_y()
     data.require_standardized("penalized solvers")
     if max_outer < 1:
         raise ConfigurationError("max_outer must be >= 1")
+    # Checked here, since an exact round does not reach the inner solver.
+    for name, value in (("tol", tol), ("inner_tol", inner_tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigurationError("%s must be positive" % name)
+    if inner_max_iter < 1:
+        raise ConfigurationError("inner_max_iter must be >= 1")
     if init is None:
         beta = np.zeros(data.d)
     else:
         beta = np.array(init, dtype=np.float64, copy=True)
         if beta.shape != (data.d,) or not np.all(np.isfinite(beta)):
             raise ValidationError("init must be a finite vector of length d")
+    bound = _EXACT_KKT_TOL * max(1.0, float(np.linalg.norm(y)) / np.sqrt(data.n))
     weights = penalty_derivative(penalty, np.abs(beta))
     trace = [penalized_objective(data, beta, penalty)]
     converged = False
     outer = 0
     for outer in range(1, max_outer + 1):
-        fit = coord_descent_weighted_l1(
-            data, weights, beta_init=beta, tol=inner_tol, max_iter=inner_max_iter
-        )
-        beta = fit.beta_hat
+        exact = _exact_round(data, weights, beta, bound)
+        if exact is None:
+            fit = coord_descent_weighted_l1(
+                data, weights, beta_init=beta, tol=inner_tol, max_iter=inner_max_iter
+            )
+            beta, inner_converged = fit.beta_hat, fit.converged
+        else:
+            beta, inner_converged = exact, True
         trace.append(penalized_objective(data, beta, penalty))
         new_weights = penalty_derivative(penalty, np.abs(beta))
         if float(np.max(np.abs(new_weights - weights))) < tol:
             weights = new_weights
-            converged = fit.converged
+            converged = inner_converged
             break
         weights = new_weights
     return _finish(data, beta, trace[-1], outer, converged, trace=trace)

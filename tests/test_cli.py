@@ -12,10 +12,14 @@ from hdlab import (
     Dataset,
     HighConfidenceSetSpec,
     LinearModelSpec,
+    PenaltySpec,
     best_subset_l0,
     coord_descent_l1,
     dantzig_selector,
     gen_linear,
+    kkt_violation,
+    lla,
+    penalty_derivative,
     read_csv,
     sis_select,
     standardize,
@@ -142,6 +146,40 @@ class TestFit:
             assert meta["numpy"] == np.__version__
             assert meta["OPENBLAS_NUM_THREADS"] == "1"
             assert meta["OMP_NUM_THREADS"] == "unset"
+
+    def test_lla_records_its_stationarity(self, tmp_path):
+        # The README quick-start model: fit_run.txt carries the KKT
+        # violation at the weights P'(|b|), as --solver cd carries it at lam.
+        raw = gen_linear(LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5},
+                                         noise_sd=0.5), seed=7)
+        path = str(tmp_path / "train.csv")
+        write_csv(standardize(raw), path)
+        out = str(tmp_path / "out")
+        assert main(["fit", "--data", path, "--solver", "lla", "--penalty", "scad:3.7",
+                     "--lambda", "0.1", "--out", out]) == 0
+        data = read_csv(path)
+        pen = PenaltySpec("scad", 0.1, 3.7)
+        fit = lla(data, pen)
+        _, rows = read_table(os.path.join(out, "fit_coefficients.csv"))
+        assert np.array_equal([float(r[2]) for r in rows], fit.beta_hat)
+        meta = read_kv(os.path.join(out, "fit_run.txt"))
+        want = kkt_violation(data, fit.beta_hat,
+                             penalty_derivative(pen, np.abs(fit.beta_hat)))
+        assert meta["kkt_violation"] == repr(want)
+        assert meta["converged"] == "True"
+        assert float(meta["kkt_violation"]) <= 2e-8
+
+    @pytest.mark.parametrize("solver", [["--solver", "cd"], ["--solver", "ista"],
+                                        ["--solver", "lla", "--penalty", "scad:3.7"]],
+                             ids=["cd", "ista", "lla"])
+    def test_zero_tol_is_rejected(self, tmp_path, csv_data, capsys, solver):
+        # --tol 0 is a given value, not an omitted one: the solver checks it.
+        path, _ = csv_data
+        out = tmp_path / "o"
+        code = main(["fit", "--data", path, "--lambda", "0.1", "--tol", "0"] + solver
+                    + ["--out", str(out)])
+        assert code == 2
+        assert "tol must be positive" in capsys.readouterr().err
 
     def test_cd_rejects_nonconvex_penalty(self, tmp_path, csv_data, capsys):
         path, _ = csv_data

@@ -33,8 +33,10 @@ from hdlab import (
     lla,
     ols_refit,
     penalized_objective,
+    penalty_derivative,
     standardize,
 )
+from hdlab import kernels, solvers
 from hdlab.solvers import PATH_KKT_TOL
 
 
@@ -294,16 +296,125 @@ class TestLla:
         assert fit.converged
         assert fit.iterations > 20
 
-    def test_unconverged_inner_solve_is_reported(self):
-        # With one sweep per inner solve the weights settle after 2-3 rounds
-        # while the fit is still up to 4e-3 from SCAD stationarity.
+    def test_unconverged_inner_solve_is_reported(self, monkeypatch):
+        # With one sweep per inner solve the weights settle after 2 rounds
+        # while the fit is still up to 4e-3 from SCAD stationarity. On these
+        # seeds both rounds are coordinate descent (a spy on the exact round
+        # shows it refused), so the fit must not be reported converged.
         spec = LinearModelSpec(n=100, d=20, beta={0: 2.0, 3: -1.0}, noise_sd=0.5)
         pen = PenaltySpec("scad", 0.1, 3.7)
-        for seed in range(3):
+        exact = []
+        real = solvers._exact_round
+        monkeypatch.setattr(solvers, "_exact_round",
+                            lambda *a: exact.append(real(*a)) or exact[-1])
+        for seed in (0, 2, 4):
             data = standardize(gen_linear(spec, seed))
-            data = Dataset(data.X, data.y - data.y.mean())
+            del exact[:]
             assert not lla(data, pen, inner_max_iter=1).converged
+            assert exact and exact[-1] is None
             assert lla(data, pen).converged
+
+    def test_exact_final_round_after_unconverged_sweeps(self, monkeypatch):
+        # Seed 1 of the test above: after two one-sweep rounds the third
+        # round is exact, so the fit is converged and meets SCAD
+        # stationarity although no coordinate descent converged.
+        spec = LinearModelSpec(n=100, d=20, beta={0: 2.0, 3: -1.0}, noise_sd=0.5)
+        pen = PenaltySpec("scad", 0.1, 3.7)
+        data = standardize(gen_linear(spec, 1))
+        calls = []
+        real = kernels.cd_weighted_l1
+        monkeypatch.setattr(kernels, "cd_weighted_l1",
+                            lambda *a: calls.append(real(*a)) or calls[-1])
+        fit = lla(data, pen, inner_max_iter=1)
+        assert fit.converged and fit.iterations == 3
+        assert calls == [(1, False), (1, False)]
+        weights = penalty_derivative(pen, np.abs(fit.beta_hat))
+        assert kkt_violation(data, fit.beta_hat, weights) <= 1e-8
+
+    def test_exact_round_meets_its_kkt_bound(self):
+        data = sparse_problem(43)
+        pen = PenaltySpec("scad", 0.15, 3.7)
+        beta = coord_descent_l1(data, 0.15).beta_hat
+        weights = penalty_derivative(pen, np.abs(beta))
+        bound = solvers._EXACT_KKT_TOL * max(1.0, float(np.linalg.norm(data.y))
+                                             / math.sqrt(data.n))
+        exact = solvers._exact_round(data, weights, beta, bound)
+        assert exact is not None
+        assert np.array_equal(np.sign(exact), np.sign(beta))
+        assert kkt_violation(data, exact, weights) <= bound
+        cd = coord_descent_weighted_l1(data, weights, beta_init=beta, tol=1e-14)
+        assert np.max(np.abs(exact - cd.beta_hat)) <= 1e-9
+
+    def test_sign_flip_falls_back_to_coordinate_descent(self):
+        # The true coefficient on column 3 is -1.5; starting it at +0.5 the
+        # solve on the support and signs comes out negative there.
+        data = sparse_problem(44)
+        pen = PenaltySpec("mcp", 0.1, 3.0)
+        init = np.zeros(data.d)
+        init[[0, 3]] = 2.0, 0.5
+        weights = penalty_derivative(pen, np.abs(init))
+        assert solvers._exact_round(data, weights, init, 1.0) is None
+        one = lla(data, pen, init=init, max_outer=1)
+        cd = coord_descent_weighted_l1(data, weights, beta_init=init)
+        assert np.array_equal(one.beta_hat, cd.beta_hat)
+
+    def test_support_of_n_columns_falls_back_to_coordinate_descent(self):
+        # n centered columns span at most n - 1 dimensions, so the Gram
+        # matrix of a support that large is singular and is refused.
+        data = standardize(gen_iid_gaussian(10, 20, seed=45))
+        data = Dataset(data.X, np.random.default_rng(45).standard_normal(10))
+        pen = PenaltySpec("scad", 0.05, 3.7)
+        for size in (10, 12):
+            init = np.zeros(20)
+            init[:size] = 0.1
+            weights = penalty_derivative(pen, np.abs(init))
+            assert solvers._exact_round(data, weights, init, 1.0) is None
+            one = lla(data, pen, init=init, max_outer=1)
+            cd = coord_descent_weighted_l1(data, weights, beta_init=init)
+            assert np.array_equal(one.beta_hat, cd.beta_hat)
+
+    def test_same_rounds_as_coordinate_descent_only(self, monkeypatch):
+        # The reference is the reweighting loop with a coordinate descent
+        # solve in every round. On criterion-04-style instances the exact
+        # rounds change neither the round count nor, beyond the inner
+        # tolerance, the fit; and most rounds skip the kernel.
+        def cd_only(data, pen, tol=1e-8, max_outer=100):
+            beta = np.zeros(data.d)
+            weights = penalty_derivative(pen, beta)
+            for outer in range(1, max_outer + 1):
+                beta = coord_descent_weighted_l1(data, weights, beta_init=beta).beta_hat
+                new = penalty_derivative(pen, np.abs(beta))
+                if np.max(np.abs(new - weights)) < tol:
+                    return beta, outer
+                weights = new
+            return beta, max_outer
+
+        calls = []
+        real = kernels.cd_weighted_l1
+        monkeypatch.setattr(kernels, "cd_weighted_l1",
+                            lambda *a: calls.append(1) or real(*a))
+        rng = np.random.default_rng(4)
+        rounds = kernel_calls = 0
+        for inst in range(20):
+            n, d = int(rng.integers(40, 81)), int(rng.integers(10, 31))
+            spec = LinearModelSpec(n=n, d=d, beta={0: 2.0, 3: -1.5}, noise_sd=0.6)
+            data = standardize(gen_linear(spec, 4000 + inst))
+            lam = float(rng.uniform(0.05, 0.4))
+            if inst % 2:
+                pen = PenaltySpec("scad", lam, float(rng.uniform(2.1, 6.0)))
+            else:
+                pen = PenaltySpec("mcp", lam, float(rng.uniform(1.5, 6.0)))
+            want, outer = cd_only(data, pen)
+            del calls[:]
+            fit = lla(data, pen)
+            assert fit.converged
+            assert fit.iterations == outer, inst
+            assert np.max(np.abs(fit.beta_hat - want)) <= 1e-9, inst
+            assert 1 <= len(calls) <= outer
+            assert np.all(np.diff(fit.objective_trace) <= 1e-10)
+            rounds += outer
+            kernel_calls += len(calls)
+        assert kernel_calls < rounds / 2
 
     def test_validation(self):
         data = sparse_problem(42)
@@ -312,6 +423,17 @@ class TestLla:
             lla(data, spec, init=np.ones(3))
         with pytest.raises(ConfigurationError):
             lla(data, spec, max_outer=0)
+
+    @pytest.mark.parametrize("bad", [{"tol": -1.0}, {"tol": 0.0}, {"tol": float("nan")},
+                                     {"inner_tol": 0.0}, {"inner_max_iter": 0}],
+                             ids=["tol-1", "tol0", "tol-nan", "inner_tol0", "inner_max_iter0"])
+    def test_rejects_bad_tolerances(self, bad):
+        # A tol of 0 or NaN can never be met, so every round would run; and
+        # with an init that has a support, exact rounds need not reach the
+        # inner solver's own checks.
+        data = sparse_problem(42)
+        with pytest.raises(ConfigurationError):
+            lla(data, PenaltySpec("mcp", 0.1, 3.0), init=np.ones(data.d), **bad)
 
 
 class TestBestSubset:
