@@ -89,7 +89,7 @@ def _solver(args):
             )
         return lambda ds, lam, init: coord_descent_l1(ds, lam, **kw)
     if args.solver == "ista":
-        if args.step:
+        if args.step is not None:
             kw["step"] = args.step
         return lambda ds, lam, init: ista(
             ds, parse_penalty(args.penalty, lam, args.gamma), **kw)

@@ -54,9 +54,5 @@ class SolverError(RuntimeError):
     """Optimizer failed; the message carries the certificate."""
 
 
-class InfeasibleError(SolverError):
-    """Linear program infeasible (phase-1 objective in the message)."""
-
-
 class UnboundedError(SolverError):
     """Linear program unbounded below."""

@@ -262,7 +262,7 @@ def _exact_round(data, weights, beta, bound):
     return exact
 
 
-def lla(data, penalty, init=None, tol=1e-8, max_outer=100, inner_tol=1e-10,
+def lla(data, penalty, init=None, tol=1e-8, max_outer=1000, inner_tol=1e-10,
         inner_max_iter=20000):
     """Local linear approximation for the folded-concave penalties.
 
@@ -406,11 +406,12 @@ def dantzig_selector(spec):
 
     In x = (beta+, beta-) >= 0 the Dantzig LP is min 1'x s.t. A x <= b, with
     G = X'X, g = X'y, A = [[G, -G], [-G, G]], b = [gamma + g; gamma - g]; any
-    gamma < |g_j| makes some b_i < 0, so the primal needs a phase 1. A is
-    symmetric, so the dual is min b'lam s.t. -A lam <= 1, lam >= 0: its
-    right-hand side is all ones and phase 1 never runs. x is read from the
-    dual's row multipliers; iterations counts the dual's pivots, and
-    objective is ||beta||_1.
+    gamma < |g_j| makes some b_i < 0, where the slack basis is infeasible and
+    the one-phase linprog_simplex refuses the LP. A is symmetric, so the dual
+    is min b'lam s.t. -A lam <= 1, lam >= 0: its right-hand side is all
+    ones, so the slack basis starts it. x is read from the dual's row
+    multipliers; iterations counts the dual's pivots, and objective is
+    ||beta||_1.
 
     beta is returned only with a certificate, else SolverError is raised:
     primal feasibility within 1e-8 (1 + gamma); dual feasibility, lam >= 0

@@ -204,10 +204,12 @@ class TestFit:
         assert "--lambda" in capsys.readouterr().err
 
     def test_ista_rejects_oversized_step(self, tmp_path, csv_data):
+        # --step 0 is refused too, not read as "no step given".
         path, _ = csv_data
-        code = main(["fit", "--data", path, "--solver", "ista", "--lambda",
-                     "0.1", "--step", "100.0", "--out", str(tmp_path / "o")])
-        assert code == 2
+        for step in ("100.0", "0"):
+            code = main(["fit", "--data", path, "--solver", "ista", "--lambda",
+                         "0.1", "--step", step, "--out", str(tmp_path / "o")])
+            assert code == 2, step
 
     def test_ista_step_reaches_every_cv_fit(self, tmp_path, csv_data, monkeypatch):
         path, _ = csv_data

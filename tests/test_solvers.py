@@ -296,6 +296,20 @@ class TestLla:
         assert fit.converged
         assert fit.iterations > 20
 
+    def test_default_round_cap_covers_the_readme_cv_fold(self):
+        # The training fold 2 of 5 that `hdlab fit --solver lla --penalty
+        # scad:3.7 --lambda-grid 0.5,0.1,0.02 --cv-folds 5` builds from the
+        # README quick-start model: at lambda 0.02 SCAD needs 113 rounds.
+        raw = gen_linear(LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5},
+                                         noise_sd=0.5), seed=7)
+        data = standardize(raw)
+        chunks = np.array_split(np.random.default_rng(0).permutation(data.n), 5)
+        train_idx = np.concatenate([chunks[k] for k in range(5) if k != 1])
+        train = standardize(Dataset(data.X[train_idx], data.y[train_idx]))
+        fit = lla(train, PenaltySpec("scad", 0.02, 3.7))
+        assert fit.converged
+        assert fit.iterations > 100
+
     def test_unconverged_inner_solve_is_reported(self, monkeypatch):
         # With one sweep per inner solve the weights settle after 2 rounds
         # while the fit is still up to 4e-3 from SCAD stationarity. On these
@@ -585,7 +599,7 @@ class TestDantzig:
 
     def test_certificate_on_the_readme_model(self, monkeypatch):
         # The README quick-start model at the default radius: the dual point
-        # and the gap are within their bounds, and no phase 1 runs.
+        # and the gap are within their bounds, and the LP's b is all ones.
         import hdlab.solvers as solvers
 
         raw = gen_linear(LinearModelSpec(n=100, d=400, beta={0: 2.0, 3: -1.5},
