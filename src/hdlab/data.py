@@ -240,12 +240,21 @@ def standardize(data):
 
 
 def is_standardized(X, mean_tol=1e-8, sd_tol=1e-6):
-    """True when every column has mean ~0 and sample sd ~1."""
-    if X.shape[0] < 2:
+    """True when every column has mean ~0 and sample sd ~1.
+
+    The sd is sqrt((sum x^2 - n mu^2)/(n - 1)), from one pass over X with no
+    n x d temporary; it is taken only once every |mu| is within mean_tol,
+    where the subtraction cancels nothing of note.
+    """
+    n = X.shape[0]
+    if n < 2:
         return False
     mu = X.mean(axis=0)
-    sd = X.std(axis=0, ddof=1)
-    return bool(np.max(np.abs(mu)) <= mean_tol and np.max(np.abs(sd - 1.0)) <= sd_tol)
+    if not np.max(np.abs(mu)) <= mean_tol:
+        return False
+    var = (np.einsum("ij,ij->j", X, X) - n * mu * mu) / (n - 1)
+    with np.errstate(invalid="ignore"):
+        return bool(np.max(np.abs(np.sqrt(var) - 1.0)) <= sd_tol)
 
 
 def is_int(v):

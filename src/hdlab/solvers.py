@@ -141,18 +141,17 @@ def kkt_violation(data, beta, weights):
 
     For g = X'(y - X beta)/n the optimum satisfies |g_j| <= w_j on inactive
     coordinates and g_j = sign(beta_j) w_j on active ones; returns the max
-    excess over both sets (0 at an exact optimum).
+    excess over both sets (0 at an exact optimum). A non-finite g, beta or
+    weight gives inf, never NaN, so that `viol <= bound` fails on it.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (data.d,))
+    w = np.asarray(weights, dtype=np.float64)
     g = data.X.T @ (data.require_y() - data.X @ beta) / data.n
-    active = beta != 0
-    viol = 0.0
-    if np.any(~active):
-        viol = max(viol, float(np.max(np.abs(g[~active]) - w[~active], initial=-np.inf)))
-    if np.any(active):
-        viol = max(viol, float(np.max(np.abs(g[active] - np.sign(beta[active]) * w[active]))))
-    return max(viol, 0.0)
+    with np.errstate(invalid="ignore"):
+        viol = np.where(beta != 0, np.abs(g - np.sign(beta) * w), np.abs(g) - w)
+    if not np.isfinite(viol).all():
+        return math.inf
+    return float(np.max(viol, initial=0.0))
 
 
 def largest_gram_eigenvalue(X, max_iter=500, tol=1e-12):
@@ -547,17 +546,21 @@ def _homotopy(X, y, levels):
     current one at which an inactive |c_j| reaches lam or an active
     coefficient reaches zero.
 
-    G^-1 is carried from kink to kink, with X_A and the right-hand sides
-    [X_A'y/n, s_A]: it is bordered when a column enters and downdated by
-    its Schur complement when one leaves, so a kink costs O(nk + k^2) on
-    top of the O(nd) correlation update, with no O(k^3) solve. Round-off in
-    the updated inverse shows up in lasso_path's certificate.
+    G^-1 is carried as a factor F with F F' = G^-1, with X_A and the
+    right-hand sides [X_A'y/n, s_A], so u and delta are F (F' [X_A'y/n, s_A]).
+    When a column enters, F gains one row of zeros and one column, O(k)
+    writes; when one leaves, F loses its row and one Householder reflection
+    folds that row into a last column, which is dropped, O(k^2). So a kink
+    costs O(nk + k^2) on top of the O(nd) correlation update, with no
+    O(k^3) solve and no k x k update on a join. Round-off in F shows up in
+    lasso_path's certificate.
 
     Returns (betas, count, kinks, beta): rows [0, count) of betas hold the
     path at levels[:count]. When count is short of levels.size the walk
     stopped early, and beta is the solution where it stopped.
     """
     n, d = X.shape
+    m = min(n, d)
     betas = np.zeros((levels.size, d))
     c = X.T @ y / n
     lam = float(np.max(np.abs(c)))
@@ -570,43 +573,46 @@ def _homotopy(X, y, levels):
     in_model = np.zeros(d, dtype=bool)
     in_model[j] = True
     # Columns [0, k) of XA are the active columns in the order of `active`,
-    # rows [0, k) of rhs their [X_A'y/n, s_A], and Ginv is k x k.
-    XA = np.empty((n, min(n, d)), order="F")
+    # rows [0, k) of rhs their [X_A'y/n, s_A], and F[:k, :k] the factor;
+    # row k of F is zero up to column k.
+    XA = np.empty((n, m), order="F")
     XA[:, 0] = X[:, j]
-    rhs = np.empty((min(n, d), 2))
+    rhs = np.empty((m, 2))
     rhs[0] = c[j], np.sign(c[j])
-    Ginv = np.array([[n / (X[:, j] @ X[:, j])]])
+    F = np.zeros((m, m))
+    F[0, 0] = math.sqrt(n / (X[:, j] @ X[:, j]))
     fitted = np.empty((n, 2))
-    roots = np.empty((2, d))
+    # c0 / (signs - a) holds both roots of |c0 + lam * a| = lam.
+    signs = np.array([[1.0], [-1.0]])
     changed = j
     kinks = 0
     # Round-off at a tie can put an event just above the current lambda; up
     # to this slack it is taken at the current lambda. The column that
     # changed last is never a candidate, so a step cannot undo the previous
-    # one, and a missed event shows up in the certificate.
+    # one (a column that entered last is last in `active`), and a missed
+    # event shows up in the certificate. An event at or below 0 may stay a
+    # candidate: nxt then reads 0, which ends the walk.
     slack = 1e-12 * lam
-    max_kinks = 10 * min(n, d) + 10
+    max_kinks = 10 * m + 10
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             k = len(active)
-            XAk = XA[:, :k]
-            coef = Ginv @ rhs[:k]
+            XAk, Fk = XA[:, :k], F[:k, :k]
+            coef = Fk @ (Fk.T @ rhs[:k])
             u, delta = coef.T
             # fitted = [y - X_A u, X_A delta], so X'fitted/n = [c0, a].
             np.dot(XAk, coef, out=fitted)
             np.subtract(y, fitted[:, 0], out=fitted[:, 0])
             c0, a = (X.T @ fitted).T / n
 
-            np.divide(c0, 1.0 - a, out=roots[0])
-            np.divide(-c0, 1.0 + a, out=roots[1])
-            roots[~((roots > 0.0) & (roots <= lam + slack))] = -np.inf
-            join = roots.max(axis=0)
+            roots = c0 / (signs - a)
+            join = np.where(roots <= lam + slack, roots, -np.inf).max(axis=0)
             join[in_model] = -np.inf
             join[changed] = -np.inf
             leave = u / delta
-            leave[~((leave > 0.0) & (leave <= lam + slack))] = -np.inf
+            leave = np.where(leave <= lam + slack, leave, -np.inf)
             if in_model[changed]:
-                leave[active.index(changed)] = -np.inf
+                leave[-1] = -np.inf
             j_in = int(join.argmax())
             i_out = int(leave.argmax())
             nxt = min(max(float(join[j_in]), float(leave[i_out]), 0.0), lam)
@@ -620,12 +626,18 @@ def _homotopy(X, y, levels):
             if kinks == max_kinks:
                 break
             if leave[i_out] >= join[j_in]:
-                # Without row and column i of G, the inverse is the rest of
-                # Ginv less e e' / Ginv[i, i], e being column i of Ginv.
+                # Without row and column i of G the inverse is
+                # F_i (I - t t'/t't) F_i', F_i being F less its row i and t
+                # that row. The reflection H = I - 2 v v'/v'v with
+                # v = t + sign(t_k) |t| e_k takes t onto e_k, so the new
+                # factor is F_i H less its last column.
                 i = i_out
-                keep = np.arange(k) != i
-                e = Ginv[keep, i]
-                Ginv = Ginv[np.ix_(keep, keep)] - np.multiply.outer(e, e) / Ginv[i, i]
+                v = F[i, :k].copy()
+                F[i:k - 1, :k] = F[i + 1:k, :k]
+                F[k - 1, :k] = 0.0
+                v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
+                Fk = F[:k - 1, :k]
+                Fk -= np.multiply.outer(Fk @ v, v * (2.0 / (v @ v)))
                 XA[:, i:k - 1] = XA[:, i + 1:k]
                 rhs[i:k - 1] = rhs[i + 1:k]
                 changed = active.pop(i)
@@ -642,19 +654,17 @@ def _homotopy(X, y, levels):
             # near-duplicate column would enter with a huge coefficient. A
             # q below the floor means the grown G is numerically singular.
             xj = X[:, j_in]
-            w = Ginv @ (XAk.T @ xj) / n
+            w = Fk @ (Fk.T @ (XAk.T @ xj)) / n
             outside = xj - XAk @ w
             q = outside @ outside / n
             kinks += 1
             if not q >= _GRAM_PIVOT_FLOOR * (xj @ xj) / n:
                 break
-            grown = np.empty((k + 1, k + 1))
-            ws = w / np.sqrt(q)
-            np.multiply.outer(ws, ws, out=grown[:k, :k])
-            grown[:k, :k] += Ginv
-            grown[:k, k] = grown[k, :k] = -w / q
-            grown[k, k] = 1.0 / q
-            Ginv = grown
+            # The grown inverse is G^-1 + w w'/q bordered by -w/q and 1/q,
+            # which is F bordered by a row of zeros and [-w; 1]/sqrt(q).
+            root = math.sqrt(q)
+            F[:k, k] = w / -root
+            F[k, k] = 1.0 / root
             XA[:, k] = xj
             rhs[k] = c[j_in], np.sign(c0[j_in] + lam * a[j_in])
             active.append(j_in)
@@ -716,7 +726,9 @@ def lasso_path(data, lambda_grid):
     for i, lam in enumerate(levels):
         if i < count:
             viol[i] = kkt_violation(data, betas[i], lam)
-            if viol[i] <= bound:
+            # A non-finite point (viol inf) is no start for coordinate
+            # descent; it is left for the check below to refuse.
+            if viol[i] <= bound or viol[i] == math.inf:
                 continue
             betas[i] = _polish(data, lam, betas[i], bound)
         else:

@@ -196,6 +196,23 @@ class TestStandardize:
             ref = (X - X.mean(0)) / X.std(0, ddof=1)
             assert np.array_equal(standardize(Dataset(X)).X, ref)
 
+    @pytest.mark.parametrize("n, d, seed", [(400, 5000, 0), (200, 200, 1), (160, 200, 2),
+                                            (60, 800, 3)])
+    def test_is_standardized_matches_the_two_pass_definition(self, n, d, seed):
+        def two_pass(X, mean_tol=1e-8, sd_tol=1e-6):
+            return bool(np.max(np.abs(X.mean(0))) <= mean_tol
+                        and np.max(np.abs(X.std(0, ddof=1) - 1.0)) <= sd_tol)
+
+        X = np.array(standardize(Dataset(
+            np.random.default_rng(seed).normal(2.0, 3.0, (n, d)))).X)
+        shifted = X.copy()
+        shifted[:, 3] += 2e-8
+        cases = [(X, True), (X * (1 + 5e-7), True), (X * (1 - 5e-7), True),
+                 (X * (1 + 2e-6), False), (X * (1 - 2e-6), False), (shifted, False)]
+        for Z, want in cases:
+            assert is_standardized(Z) is want
+            assert two_pass(Z) is want
+
 
 class TestSampleCorr:
     def test_exact_values(self):

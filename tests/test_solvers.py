@@ -171,6 +171,22 @@ class TestKktViolation:
         b = kkt_violation(data, beta, np.full(data.d, 0.2))
         assert a == b
 
+    def test_non_finite_input_gives_inf(self):
+        # max(0.0, nan) is 0.0, and nan > bound is False: a NaN must not
+        # read as a certified point.
+        data = sparse_problem(23)
+        beta = coord_descent_l1(data, 0.1).beta_hat
+        w = np.full(data.d, 0.1)
+        for j in (0, int(np.flatnonzero(beta == 0)[0])):
+            bad = beta.copy()
+            bad[j] = np.nan
+            assert kkt_violation(data, bad, w) == np.inf
+            bad_w = w.copy()
+            bad_w[j] = np.nan
+            assert kkt_violation(data, beta, bad_w) == np.inf
+        assert kkt_violation(data, beta, np.inf) == np.inf
+        assert kkt_violation(data, beta, w) <= 1e-8
+
 
 class TestGramEigenvalue:
     def test_matches_dense_eigensolver(self):
@@ -776,18 +792,27 @@ def homotopy_by_solves(X, y, levels):
 
 
 class TestLassoPath:
-    @pytest.mark.parametrize("seed", [11, 21, 31])
-    def test_updated_inverse_matches_fresh_solves(self, seed):
+    @pytest.mark.parametrize("seed, n, d, low, size, tol", [
+        pytest.param(11, 160, 200, 0.01, 20, 1e-12, id="11"),
+        pytest.param(21, 160, 200, 0.01, 20, 1e-12, id="21"),
+        pytest.param(31, 160, 200, 0.01, 20, 1e-12, id="31"),
+        # A long path with 55 leaves and a wide one with 16, on which an
+        # explicit G^-1 carried by rank-one updates drifts 3.2e-10 and
+        # 2.1e-11 from fresh solves.
+        pytest.param(11, 160, 200, 1e-4, 30, 1e-11, id="11-long"),
+        pytest.param(11, 60, 400, 0.01, 20, 1e-11, id="11-wide"),
+    ])
+    def test_updated_inverse_matches_fresh_solves(self, seed, n, d, low, size, tol):
         import hdlab.solvers as solvers
 
-        data, lam_max = lasso_fold_problem(seed)
-        levels = np.geomspace(lam_max, 0.01 * lam_max, 20)
+        data, lam_max = lasso_fold_problem(seed, n=n, d=d)
+        levels = np.geomspace(lam_max, low * lam_max, size)
         betas, count, kinks, _ = solvers._homotopy(data.X, data.y, levels)
         want, want_kinks, leaves = homotopy_by_solves(data.X, data.y, levels)
         assert leaves > 0
         assert count == levels.size
         assert kinks == want_kinks
-        assert np.max(np.abs(betas - want)) <= 1e-12
+        assert np.max(np.abs(betas - want)) <= tol
 
     def test_agrees_with_coordinate_descent(self):
         data, lam_max = lasso_fold_problem(11)
@@ -840,6 +865,22 @@ class TestLassoPath:
                             lambda ds, lam, **kw: cd(ds, lam, **dict(kw, max_iter=1)))
         monkeypatch.setattr(solvers, "_POLISH_ROUNDS", 1)
         with pytest.raises(SolverError, match="KKT violation"):
+            lasso_path(data, grid)
+
+    def test_non_finite_point_raises(self, monkeypatch):
+        import hdlab.solvers as solvers
+
+        data, lam_max = lasso_fold_problem(14, n=60, d=80)
+        grid = np.geomspace(lam_max, 0.05 * lam_max, 8)
+        homotopy = solvers._homotopy
+
+        def damaged(X, y, levels):
+            betas, count, kinks, beta = homotopy(X, y, levels)
+            betas[4, 0] = np.nan
+            return betas, count, kinks, beta
+
+        monkeypatch.setattr(solvers, "_homotopy", damaged)
+        with pytest.raises(SolverError, match="KKT violation inf"):
             lasso_path(data, grid)
 
     def test_certificate_scales_with_the_response(self):
