@@ -603,7 +603,7 @@ def _homotopy(X, y, levels):
             # fitted = [y - X_A u, X_A delta], so X'fitted/n = [c0, a].
             np.dot(XAk, coef, out=fitted)
             np.subtract(y, fitted[:, 0], out=fitted[:, 0])
-            c0, a = (X.T @ fitted).T / n
+            c0, a = fitted.T @ X / n
 
             roots = c0 / (signs - a)
             join = np.where(roots <= lam + slack, roots, -np.inf).max(axis=0)
@@ -666,7 +666,7 @@ def _homotopy(X, y, levels):
             F[:k, k] = w / -root
             F[k, k] = 1.0 / root
             XA[:, k] = xj
-            rhs[k] = c[j_in], np.sign(c0[j_in] + lam * a[j_in])
+            rhs[k] = c[j_in], math.copysign(1.0, c0[j_in] + lam * a[j_in])
             active.append(j_in)
             in_model[j_in] = True
             changed = j_in
@@ -698,8 +698,10 @@ def lasso_path(data, lambda_grid):
     Follows the solution of ||y - X b||^2/(2n) + lam ||b||_1 down from
     lam_max = max|X'y|/n, updating the inverse of the active Gram matrix at
     every kink where a column enters or leaves (Efron, Hastie, Johnstone &
-    Tibshirani 2004; Osborne, Presnell & Turlach 2000). Works from X and
-    that inverse only, so memory stays O(nd) on wide data.
+    Tibshirani 2004; Osborne, Presnell & Turlach 2000). The inverse is
+    carried as a factor F F' (see _homotopy): O(k) to grow by a column, one
+    Householder step to drop one. Works from X and that factor only, so
+    memory stays O(nd) on wide data.
 
     Each grid point is certified by kkt_violation() against the bound
     PATH_KKT_TOL * max(1, ||y||/sqrt(n)). Round-off in X'(y - X b)/n grows
@@ -711,7 +713,8 @@ def lasso_path(data, lambda_grid):
     the active set would reach n columns, when the active Gram matrix is
     numerically singular, or after 10 * min(n, d) + 10 kinks; the grid
     points below are then solved the same way, warm-started down the grid.
-    A polished point that still fails its certificate raises SolverError.
+    A polished point that still fails its certificate, or a non-finite
+    point, raises SolverError.
     Duplicate and unsorted grids are accepted; rows follow the given order.
     """
     y = data.require_y()
