@@ -127,7 +127,7 @@ def cmd_fit(args):
         lam, curve = cross_validate(data, grid, args.cv_folds, args.seed,
                                     solver=None if args.solver == "cd" else solve)
         write_table(os.path.join(args.out, "fit_cv.csv"), ["lambda", "cv_mse"],
-                    zip(grid.tolist(), curve.tolist()))
+                    [grid, curve])
         extras["lambda_star"] = lam
     elif args.lam is not None:
         lam = args.lam
@@ -150,7 +150,7 @@ def cmd_fit(args):
 
     coef_path = os.path.join(args.out, "fit_coefficients.csv")
     write_table(coef_path, ["index", "name", "coefficient"],
-                ([j, data.name_of(j), fit.beta_hat[j]] for j in range(data.d)))
+                [range(data.d), [data.name_of(j) for j in range(data.d)], fit.beta_hat])
     meta = [
         ("solver", args.solver),
         ("penalty", args.penalty),
@@ -179,14 +179,12 @@ def cmd_screen(args):
     res = sis_select(data, delta=args.delta, top_k=args.top_k)
     mag = np.abs(res.marginal_beta)
     order = np.lexsort((np.arange(data.d), -mag))
-    kept = set(res.survivors.tolist())
-    rows = []
-    for rank, j in enumerate(order, start=1):
-        rows.append([rank, int(j), data.name_of(j), res.marginal_beta[j],
-                     int(j in kept)])
     path = os.path.join(args.out, "screen_ranking.csv")
-    write_table(path, ["rank", "index", "name", "marginal_beta", "selected"], rows)
-    print("screen: kept %d of %d (%s) -> %s" % (len(kept), data.d, res.rule, path))
+    write_table(path, ["rank", "index", "name", "marginal_beta", "selected"],
+                [range(1, data.d + 1), order, [data.name_of(j) for j in order],
+                 res.marginal_beta[order], np.isin(order, res.survivors).astype(int)])
+    print("screen: kept %d of %d (%s) -> %s"
+          % (res.survivors.size, data.d, res.rule, path))
     return 0
 
 
@@ -222,16 +220,15 @@ def cmd_reduce(args):
                                  orthonormalize=args.orthonormalize)
     Z = proj.apply(data.X)
     header = ["z%d" % (j + 1) for j in range(args.k)]
-    rows = [list(Z[i]) for i in range(Z.shape[0])]
+    columns = list(Z.T)
     if data.y is not None:
         header.append("y")
-        for i, row in enumerate(rows):
-            row.append(data.y[i])
-    write_table(os.path.join(args.out, "reduced.csv"), header, rows)
+        columns.append(data.y)
+    write_table(os.path.join(args.out, "reduced.csv"), header, columns)
     rep = distortion(data, proj)
     write_table(os.path.join(args.out, "distortion.csv"),
                 ["method", "k", "median_relative_error"],
-                [[rep.method, rep.k, rep.median_relative_error]])
+                [[rep.method], [rep.k], [rep.median_relative_error]])
     print("reduce: %s k=%d median distortion %.4f -> %s"
           % (args.method, args.k, rep.median_relative_error,
              os.path.join(args.out, "reduced.csv")))
@@ -286,36 +283,42 @@ _FIGURES = {
 
 def _sanity(rep):
     """The report's built-in sanity checks; returns the problems found."""
+    def columns(name):
+        return [np.asarray(c) for c in rep.tables[name][1]]
+
     problems = []
     if rep.experiment == "noise_accumulation":
-        for m, sep, sep2 in rep.tables["separation"][1]:
-            if not (np.isfinite(sep) and sep > 0 and np.isfinite(sep2) and sep2 > 0):
-                problems.append("non-positive separation at m=%s" % m)
+        m, sep, sep2 = columns("separation")
+        bad = ~((np.isfinite(sep) & (sep > 0)) & (np.isfinite(sep2) & (sep2 > 0)))
+        problems += ["non-positive separation at m=%s" % v for v in m[bad].tolist()]
     elif rep.experiment == "spurious":
-        for d, r, r_hat, R_hat in rep.tables["values"][1]:
-            if R_hat < r_hat - 1e-9 or not 0.0 <= r_hat <= 1.0 + 1e-12:
-                problems.append("replicate %s/%s: R_hat %.12g < r_hat %.12g"
-                                % (d, r, R_hat, r_hat))
+        d, r, r_hat, R_hat = columns("values")
+        bad = (R_hat < r_hat - 1e-9) | ~((r_hat >= 0.0) & (r_hat <= 1.0 + 1e-12))
+        problems += ["replicate %s/%s: R_hat %.12g < r_hat %.12g" % row
+                     for row in zip(*(c[bad].tolist() for c in (d, r, R_hat, r_hat)))]
     elif rep.experiment == "penalty_curves":
-        vals = {}
-        for label, t, v in rep.tables["curves"][1]:
-            if not np.isfinite(v) or v < -1e-15:
-                problems.append("bad value %r at %s t=%s" % (v, label, t))
-            vals.setdefault(label, []).append((t, v))
-        for label, pairs in vals.items():
-            lookup = dict(pairs)
-            for t, v in pairs:
-                if -t in lookup and abs(lookup[-t] - v) > 1e-9:
-                    problems.append("%s asymmetric at t=%s" % (label, t))
-                    break
+        label, t, v = columns("curves")
+        bad = ~(np.isfinite(v) & (v >= -1e-15))
+        problems += ["bad value %r at %s t=%s" % row
+                     for row in zip(*(c[bad].tolist() for c in (v, label, t)))]
+        for name in dict.fromkeys(label.tolist()):
+            at = label == name
+            ts, vs = t[at], v[at]
+            # The value at -t, where the curve has that point.
+            order = np.argsort(ts)
+            mirror = order[np.minimum(np.searchsorted(ts, -ts, sorter=order), ts.size - 1)]
+            asym = (ts[mirror] == -ts) & (np.abs(vs[mirror] - vs) > 1e-9)
+            if asym.any():
+                problems.append("%s asymmetric at t=%s" % (name, ts[asym.argmax()].tolist()))
     elif rep.experiment == "projection_error":
-        for d, k, method, err in rep.tables["errors"][1]:
-            if not (np.isfinite(err) and err >= 0):
-                problems.append("bad error %r at d=%s k=%s %s" % (err, d, k, method))
+        d, k, method, err = columns("errors")
+        bad = ~(np.isfinite(err) & (err >= 0))
+        problems += ["bad error %r at d=%s k=%s %s" % row
+                     for row in zip(*(c[bad].tolist() for c in (err, d, k, method)))]
     elif rep.experiment == "endogeneity":
-        for row in rep.tables["summary"][1]:
-            if not 0.0 <= row[1] <= 1.0:
-                problems.append("tail statistic %r outside [0, 1]" % row[1])
+        tail = columns("summary")[1]
+        problems += ["tail statistic %r outside [0, 1]" % v
+                     for v in tail[~((tail >= 0.0) & (tail <= 1.0))].tolist()]
     return problems
 
 

@@ -308,11 +308,11 @@ def write_csv(data, path):
     Floats are written with repr so a read-back reproduces the array exactly.
     """
     names = [data.name_of(j) for j in range(data.d)]
-    rows = data.X
+    columns = list(data.X.T)
     if data.y is not None:
         names.append("y")
-        rows = np.column_stack([data.X, data.y])
-    write_table(path, names, rows)
+        columns.append(data.y)
+    write_table(path, names, columns)
 
 
 def read_csv(path, y_col="y"):

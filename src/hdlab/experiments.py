@@ -104,11 +104,12 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
     spec = TwoClassGaussianSpec(n_per_class, d, np.zeros(d), mu2)
     data = gen_two_class(spec, seed)
     labels = data.y
-    sep_rows = []
-    proj_rows = []
+    n = labels.size
+    seps, seps_2d = [], []
+    pcs = np.empty((len(m_list) * n, 2))
     summary = {}
     figures = []
-    for m in m_list:
+    for i, m in enumerate(m_list):
         if rank_by == "index":
             cols = np.arange(m)
         else:
@@ -118,18 +119,17 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
         scores = (Xm - Xm.mean(axis=0)) @ proj.basis
         sep_m = _separation(Xm, labels)
         sep_2d = _separation(scores, labels)
-        sep_rows.append([m, sep_m, sep_2d])
+        seps.append(sep_m)
+        seps_2d.append(sep_2d)
         summary["separation_m%d" % m] = sep_m
-        for i in range(scores.shape[0]):
-            proj_rows.append([m, i, int(labels[i]), scores[i, 0], scores[i, 1]])
+        pcs[i * n:(i + 1) * n] = scores
         figures.append(("scatter", "noise_accumulation_m%d.svg" % m,
                         {"class %d" % c: (scores[labels == c, 0], scores[labels == c, 1])
                          for c in (0, 1)},
                         {"title": "first two principal components, m=%d" % m,
                          "xlabel": "pc1", "ylabel": "pc2"}))
     figures.append(("line", "noise_accumulation_separation.svg",
-                    {"selected space": (m_list, [r[1] for r in sep_rows]),
-                     "2-d projection": (m_list, [r[2] for r in sep_rows])},
+                    {"selected space": (m_list, seps), "2-d projection": (m_list, seps_2d)},
                     {"title": "class separation vs number of features",
                      "xlabel": "m", "ylabel": "separation"}))
     return ExperimentReport(
@@ -138,8 +138,11 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
                 "signal_count": signal_count, "signal_value": signal_value,
                 "seed": seed, "rank_by": rank_by},
         tables={
-            "separation": (["m", "separation", "separation_2d"], sep_rows),
-            "projections": (["m", "row", "class", "pc1", "pc2"], proj_rows),
+            "separation": (["m", "separation", "separation_2d"], [m_list, seps, seps_2d]),
+            "projections": (["m", "row", "class", "pc1", "pc2"],
+                            [np.repeat(m_list, n), np.tile(np.arange(n), len(m_list)),
+                             np.tile(labels.astype(np.int64), len(m_list)),
+                             pcs[:, 0], pcs[:, 1]]),
         },
         summary=summary,
         wall_clock=time.perf_counter() - t0,
@@ -167,23 +170,23 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
         raise ConfigurationError("need reps >= 1 and n >= 3")
     if subset_size > min(d_list) - 1:
         raise ConfigurationError("subset_size must be < min(d_list)")
-    values = []
-    quantiles = []
     summary = {}
     r_groups, R_groups = {}, {}
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    for d in d_list:
-        r_all = np.empty(reps)
-        R_all = np.empty(reps)
+    r_hats = np.empty((len(d_list), reps))
+    R_hats = np.empty((len(d_list), reps))
+    quantiles = np.empty((2 * len(d_list), len(qs)))
+    for i, d in enumerate(d_list):
+        r_all = r_hats[i]
+        R_all = R_hats[i]
         for rep in range(reps):
             rng = np.random.default_rng([seed, d, rep])
             rep_out = max_multiple_corr(Dataset(rng.standard_normal((n, d))),
                                         subset_size, method)
             r_all[rep] = rep_out.r_hat
             R_all[rep] = rep_out.R_hat
-            values.append([d, rep, rep_out.r_hat, rep_out.R_hat])
-        for stat, arr in (("r_hat", r_all), ("R_hat", R_all)):
-            quantiles.append([d, stat] + [float(np.quantile(arr, q)) for q in qs])
+        for row, arr in ((2 * i, r_all), (2 * i + 1, R_all)):
+            quantiles[row] = [np.quantile(arr, q) for q in qs]
         r_groups.setdefault("d=%d" % d, []).extend(r_all)
         R_groups.setdefault("d=%d" % d, []).extend(R_all)
         summary["median_r_hat_d%d" % d] = float(np.median(r_all))
@@ -193,8 +196,12 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
         params={"n": n, "d_list": d_list, "reps": reps, "subset_size": subset_size,
                 "seed": seed, "method": method, "paper_scale": paper_scale},
         tables={
-            "values": (["d", "rep", "r_hat", "R_hat"], values),
-            "quantiles": (["d", "stat", "q05", "q25", "q50", "q75", "q95"], quantiles),
+            "values": (["d", "rep", "r_hat", "R_hat"],
+                       [np.repeat(d_list, reps), np.tile(np.arange(reps), len(d_list)),
+                        r_hats.ravel(), R_hats.ravel()]),
+            "quantiles": (["d", "stat", "q05", "q25", "q50", "q75", "q95"],
+                          [np.repeat(d_list, 2), ["r_hat", "R_hat"] * len(d_list),
+                           *quantiles.T]),
         },
         summary=summary,
         wall_clock=time.perf_counter() - t0,
@@ -225,18 +232,14 @@ def penalty_curves(lam=1.0, t_min=-3.0, t_max=3.0, points=601):
         PenaltySpec("mcp", lam, 3.0),
         PenaltySpec("mcp", lam, 100.0),
     ]
-    rows = []
-    series = {}
-    for spec in specs:
-        values = penalty_value(spec, grid)
-        label = spec.label()
-        for t, v in zip(grid, values):
-            rows.append([label, t, v])
-        series[label] = (grid, values)
+    series = {spec.label(): (grid, penalty_value(spec, grid)) for spec in specs}
     return ExperimentReport(
         experiment="penalty_curves",
         params={"lam": lam, "t_min": t_min, "t_max": t_max, "points": points},
-        tables={"curves": (["penalty", "t", "value"], rows)},
+        tables={"curves": (["penalty", "t", "value"],
+                           [[label for label in series for _ in grid],
+                            np.tile(grid, len(series)),
+                            np.concatenate([v for _, v in series.values()])])},
         summary={"n_penalties": len(specs)},
         wall_clock=time.perf_counter() - t0,
         figures=[("line", "penalty_curves.svg", series,
@@ -258,7 +261,7 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
     k_list = [int(k) for k in k_list]
     if min(k_list) < 1:
         raise ConfigurationError("k values must be >= 1")
-    rows = []
+    ds, ks, methods, errs = [], [], [], []
     summary = {}
     curves = {}   # d -> method -> (k values, errors)
     for d in d_list:
@@ -273,10 +276,12 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         for k in usable:
             red = pairwise_distances(scores[:, :k])
             err_pca = median_relative_error(orig, red)
-            rows.append([d, k, "pca", err_pca])
             rp = random_projection(data, k, seed=[seed, d, k])
             err_rp = median_relative_error(orig, pairwise_distances(rp.apply(data.X)))
-            rows.append([d, k, "rp", err_rp])
+            ds.extend((d, d))
+            ks.extend((k, k))
+            methods.extend(("pca", "rp"))
+            errs.extend((err_pca, err_rp))
             summary["d%d_k%d" % (d, k)] = "pca=%.4f,rp=%.4f" % (err_pca, err_rp)
             for method, err in (("pca", err_pca), ("rp", err_rp)):
                 series[method][0].append(k)
@@ -285,7 +290,8 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         experiment="projection_error",
         params={"d_list": d_list, "k_list": k_list, "n": n,
                 "spike_count": spike_count, "spike_sd": spike_sd, "seed": seed},
-        tables={"errors": (["d", "k", "method", "median_relative_error"], rows)},
+        tables={"errors": (["d", "k", "method", "median_relative_error"],
+                           [ds, ks, methods, errs])},
         summary=summary,
         wall_clock=time.perf_counter() - t0,
         figures=[("line", "projection_error_d%d.svg" % d, curves[d],
@@ -312,7 +318,7 @@ def variance_experiment(seed=0, n=60, d=800, reps=500, support_size=4, noise_sd=
         raise ConfigurationError("support_size must lie in [1, n/2)")
     spec = LinearModelSpec(n=n, d=d, beta={}, noise_sd=noise_sd)
     fixed = np.arange(support_size)
-    rows = []
+    arr = np.empty((reps, 3))  # dredged, fixed and rcv estimates per replicate
     for rep in range(reps):
         data = gen_linear(spec, [seed, rep])
         dredged = greedy_spurious_support(data, support_size)
@@ -321,8 +327,7 @@ def variance_experiment(seed=0, n=60, d=800, reps=500, support_size=4, noise_sd=
         est_rcv = rcv_variance(
             data, lambda ds: greedy_spurious_support(ds, support_size), [seed, rep, 1]
         ).sigma2_hat
-        rows.append([rep, est_dredged, est_fixed, est_rcv])
-    arr = np.asarray([r[1:] for r in rows], dtype=np.float64)
+        arr[rep] = est_dredged, est_fixed, est_rcv
     means = arr.mean(axis=0)
     truth = noise_sd ** 2
     summary = {
@@ -335,7 +340,8 @@ def variance_experiment(seed=0, n=60, d=800, reps=500, support_size=4, noise_sd=
         experiment="variance",
         params={"seed": seed, "n": n, "d": d, "reps": reps,
                 "support_size": support_size, "noise_sd": noise_sd},
-        tables={"estimates": (["rep", "dredged_support", "fixed_support", "rcv"], rows)},
+        tables={"estimates": (["rep", "dredged_support", "fixed_support", "rcv"],
+                              [np.arange(reps), arr[:, 0], arr[:, 1], arr[:, 2]])},
         summary=summary,
         wall_clock=time.perf_counter() - t0,
         figures=[("histogram", "variance_estimates.svg",
@@ -368,13 +374,14 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
                               "correlations are undefined")
     if support_size + coupled_count > d:
         raise ConfigurationError("support_size + coupled_count must fit in d")
-    corr_rows = []
-    summary_rows = []
-    overid_rows = []
+    scenarios = ["planted", "exogenous"]
+    tails, q95s, flags, sizes, lams = [], [], [], [], []
+    corr_labels, corr_kinds, corr_values = [], [], []
+    over_labels, over_columns, over_x, over_x2 = [], [], [], []
     summary = {}
     figures = []
     moments = {}  # scenario -> (corr_x, corr_x2) of its selected columns
-    for idx, (scenario, w) in enumerate((("planted", coupling), ("exogenous", 0.0))):
+    for idx, (scenario, w) in enumerate(zip(scenarios, (coupling, 0.0))):
         endo = {support_size + j: w for j in range(coupled_count)} if w else {}
         spec = LinearModelSpec(
             n=n, d=d, beta={j: support_strength for j in range(support_size)},
@@ -388,24 +395,29 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
         fit = coord_descent_l1(data, lam_star, beta_init=start)
         diag = endogeneity_diagnostic(data, fit, permutations, [seed, idx, 2])
         thresh = diag.null_quantile(0.95)
-        summary_rows.append([
-            scenario, diag.tail_statistic, thresh, int(diag.flagged()),
-            fit.active_set.size, lam_star,
-        ])
+        tails.append(diag.tail_statistic)
+        q95s.append(thresh)
+        flags.append(int(diag.flagged()))
+        sizes.append(fit.active_set.size)
+        lams.append(lam_star)
         summary["%s_flagged" % scenario] = int(diag.flagged())
-        corr_rows.extend([scenario, "raw", v] for v in diag.raw_correlations.tolist())
-        corr_rows.extend([scenario, "permuted", v]
-                         for v in diag.permuted_correlations.tolist())
+        # The 2 (d + permutations * d) correlation rows stay columns, with no
+        # per-row objects: two lists of shared labels and one float64 array.
+        raw, permuted = diag.raw_correlations, diag.permuted_correlations
+        corr_labels += [scenario] * (raw.size + permuted.size)
+        corr_kinds += ["raw"] * raw.size + ["permuted"] * permuted.size
+        corr_values += [raw, permuted]
         figures.append(("histogram", "endogeneity_%s.svg" % scenario,
-                        {"raw": diag.raw_correlations,
-                         "permuted": diag.permuted_correlations},
+                        {"raw": raw, "permuted": permuted},
                         {"title": "residual correlations, %s scenario" % scenario,
                          "xlabel": "correlation"}))
         if fit.active_set.size:
             refit = ols_refit(data, fit.active_set)
             over = overid_check(data, refit, fit.active_set)
-            for j, cx, cx2 in zip(over.selected, over.corr_x, over.corr_x2):
-                overid_rows.append([scenario, int(j), float(cx), float(cx2)])
+            over_labels += [scenario] * over.selected.size
+            over_columns += over.selected.tolist()
+            over_x += over.corr_x.tolist()
+            over_x2 += over.corr_x2.tolist()
             moments[scenario] = (over.corr_x, over.corr_x2)
     if moments:
         figures.append(("scatter", "overid_moments.svg", moments,
@@ -419,9 +431,12 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
                 "permutations": permutations, "folds": folds, "grid_size": grid_size},
         tables={
             "summary": (["scenario", "tail_statistic", "null_q95", "flagged",
-                         "support_size", "lambda_star"], summary_rows),
-            "correlations": (["scenario", "kind", "value"], corr_rows),
-            "overid": (["scenario", "column", "corr_x", "corr_x2"], overid_rows),
+                         "support_size", "lambda_star"],
+                        [scenarios, tails, q95s, flags, sizes, lams]),
+            "correlations": (["scenario", "kind", "value"],
+                             [corr_labels, corr_kinds, np.concatenate(corr_values)]),
+            "overid": (["scenario", "column", "corr_x", "corr_x2"],
+                       [over_labels, over_columns, over_x, over_x2]),
         },
         summary=summary,
         wall_clock=time.perf_counter() - t0,

@@ -8,22 +8,24 @@ Wall-clock time lives in the metadata file only, never in table CSVs. So do
 the Python and NumPy versions, the BLAS library and the BLAS thread
 settings, on which the last bits of tables built on BLAS products depend.
 
-Tables are written the way csv.writer's excel dialect writes the _cell form
-of each value, but a block of rows at a time and one column per pass: a
-column of floats is formatted by one map of float.__repr__, a column of
-plain strings passes through, and the lines are joined directly. A block
-with a string cell that csv would quote (one holding a comma, a quote or a
-line break) or an empty one goes through csv.writer.
+A table is a header and equal-length columns (lists, tuples or ndarrays),
+written as csv.writer's excel dialect writes the _cell form of each value,
+but a block of rows at a time and one column per pass: a float64 array is
+formatted by one map of float.__repr__, plain strings pass through, other
+cells go through _cell, and the lines are joined directly. A block with a
+string cell that csv would quote (one holding a comma, a quote or a line
+break) or an empty one goes through csv.writer.
 """
 
 import csv
-import itertools
 import os
 import platform
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def _cell(v):
@@ -39,43 +41,39 @@ def _cell(v):
 # Rows formatted at once: large enough that the per-column passes pay off,
 # small enough that a block's cell strings stay near a megabyte.
 _BLOCK_ROWS = 4096
-_FLOATS = {float, np.float64}
 _NEEDS_CSV = re.compile(r'[,"\r\n]')
 
 
 def _format_block(block):
-    """The CSV lines of `block`, or None when it needs csv.writer: a ragged
-    block, empty rows, or a string cell that is empty or would be quoted."""
-    width = len(block[0])
-    if width == 0 or any(len(row) != width for row in block):
-        return None
-    columns = []
-    for column in zip(*block):
-        kinds = set(map(type, column))
-        if kinds <= _FLOATS:
-            columns.append(map(float.__repr__, column))
+    """The CSV lines of a block of column slices, or None when it needs
+    csv.writer: a string cell that is empty or would be quoted."""
+    cells = []
+    for column in block:
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            cells.append(map(float.__repr__, column.tolist()))
             continue
-        cells = column if kinds == {str} else list(map(_cell, column))
-        if any(not s or _NEEDS_CSV.search(s) for s in set(cells)):
+        if set(map(type, column)) != {str}:
+            column = list(map(_cell, column))
+        if any(not s or _NEEDS_CSV.search(s) for s in set(column)):
             return None
-        columns.append(cells)
-    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+        cells.append(column)
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
-def write_table(path, header, rows):
-    """Write a header row, then each row with every cell formatted by _cell.
-
-    `rows` may be any iterable, a generator included; it is read one block
-    of _BLOCK_ROWS rows at a time.
-    """
-    rows = iter(rows)
+def write_table(path, header, columns):
+    """Write a header row, then the rows that the equal-length `columns`
+    hold, _BLOCK_ROWS rows at a time; unequal lengths raise ValidationError."""
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValidationError("table columns differ in length: %s" % sorted(lengths))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        for start in range(0, max(lengths, default=0), _BLOCK_ROWS):
+            block = [column[start:start + _BLOCK_ROWS] for column in columns]
             lines = _format_block(block)
             if lines is None:
-                w.writerows([_cell(v) for v in row] for row in block)
+                w.writerows(zip(*[map(_cell, column) for column in block]))
             else:
                 fh.write(lines)
 
@@ -90,7 +88,8 @@ def write_kv(path, pairs):
 @dataclass
 class ExperimentReport:
     """experiment: short id; params: full input parameterization;
-    tables: name -> (header, rows); summary: headline numbers;
+    tables: name -> (header, columns), written by write_table;
+    summary: headline numbers;
     wall_clock: seconds spent producing the report; figures: the SVG
     companions as (kind, filename, data, labels) entries, where kind is
     "histogram", "line" or "scatter", data is the dict the matching svgplot
@@ -106,8 +105,10 @@ class ExperimentReport:
     figures: list = field(default_factory=list)
 
     def table(self, name):
-        header, rows = self.tables[name]
-        return header, rows
+        """The table as (header, rows), each row a list of Python values."""
+        header, columns = self.tables[name]
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        return header, [list(row) for row in zip(*columns)]
 
     def write(self, outdir):
         """Write one CSV per table plus a key=value metadata file.
@@ -119,9 +120,8 @@ class ExperimentReport:
         os.makedirs(outdir, exist_ok=True)
         paths = []
         for name in self.tables:
-            header, rows = self.tables[name]
             path = os.path.join(outdir, "%s_%s.csv" % (self.experiment, name))
-            write_table(path, header, rows)
+            write_table(path, *self.tables[name])
             paths.append(path)
         meta = os.path.join(outdir, "%s_params.txt" % self.experiment)
         write_kv(meta, [("experiment", self.experiment)]

@@ -724,6 +724,10 @@ def lasso_path(data, lambda_grid):
     levels = -levels
     bound = PATH_KKT_TOL * max(1.0, float(np.linalg.norm(y)) / np.sqrt(data.n))
     betas, count, kinks, beta = _homotopy(data.X, y, levels)
+    if count < levels.size and not np.all(np.isfinite(beta)):
+        # The points below are polished from this one: no start for them.
+        raise SolverError("lasso_path: the homotopy stopped at a non-finite point "
+                          "above lambda=%.6g" % levels[count])
     viol = np.empty(levels.size)
     polished = 0
     for i, lam in enumerate(levels):

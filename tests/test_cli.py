@@ -506,7 +506,7 @@ class TestDiagnose:
 
         def corrupted(**kw):
             rep = real(**kw)
-            rep.tables["summary"][1][0][1] = 1.5  # a tail statistic outside [0, 1]
+            rep.tables["summary"][1][1][0] = 1.5  # the first tail statistic, outside [0, 1]
             return rep
 
         monkeypatch.setattr(cli, "endogeneity_experiment", corrupted)

@@ -274,12 +274,12 @@ class TestSpuriousExperiment:
     def test_deterministic_and_well_formed(self):
         a = spurious_correlation_experiment(n=20, d_list=[5, 15], reps=6, subset_size=2, seed=9)
         b = spurious_correlation_experiment(n=20, d_list=[5, 15], reps=6, subset_size=2, seed=9)
-        header, rows = a.tables["values"]
+        header, rows = a.table("values")
         assert header == ["d", "rep", "r_hat", "R_hat"]
-        assert rows == b.tables["values"][1]
+        assert rows == b.table("values")[1]
         assert len(rows) == 12
         assert all(row[2] <= row[3] + 1e-12 for row in rows)
-        assert len(a.tables["quantiles"][1]) == 4
+        assert len(a.table("quantiles")[1]) == 4
 
     def test_medians_grow_with_dimension(self):
         rep = spurious_correlation_experiment(n=30, d_list=[10, 200], reps=20,

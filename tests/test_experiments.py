@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from hdlab.experiments import (
     spurious_correlation_experiment,
     variance_experiment,
 )
+from hdlab.report import _cell
 from hdlab.solvers import kkt_violation, lasso_path
 
 
@@ -253,8 +255,21 @@ class TestEndogeneityExperiment:
             assert kkt_violation(data, fit.beta_hat, lam) <= 1e-12
             start = lasso_path(data, [lam]).betas[0]
             assert np.max(np.abs(fit.beta_hat - start)) <= 1e-12
-        # Plain floats: the report writer formats a column of them in one pass.
-        assert all(type(row[2]) is float for row in rep.table("correlations")[1])
+
+    def test_correlations_are_columns(self, tmp_path):
+        # The values are one float64 array, which the writer formats a block
+        # at a time; the bytes are csv.writer's over the table's rows.
+        rep = endogeneity_experiment(seed=1, n=60, d=80, support_size=3, coupled_count=10,
+                                     permutations=20, folds=4, grid_size=8)
+        header, (labels, kinds, values) = rep.tables["correlations"]
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert len(labels) == len(kinds) == values.size == 2 * (80 + 20 * 80)
+        rep.write(tmp_path)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([header] + [[_cell(v) for v in row]
+                                              for row in rep.table("correlations")[1]])
+        assert (tmp_path / "endogeneity_correlations.csv").read_bytes() == \
+            buf.getvalue().encode()
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -883,6 +883,26 @@ class TestLassoPath:
         with pytest.raises(SolverError, match="KKT violation inf"):
             lasso_path(data, grid)
 
+    def test_non_finite_stopped_point_raises(self, monkeypatch):
+        # The grid points below an early stop are polished from the stopped
+        # point; a non-finite one is a solver failure, not coordinate
+        # descent's invalid input (ValidationError).
+        import hdlab.solvers as solvers
+
+        data, lam_max = lasso_fold_problem(14, n=60, d=80)
+        grid = np.geomspace(lam_max, 0.05 * lam_max, 8)
+        homotopy = solvers._homotopy
+
+        def stopped(X, y, levels):
+            betas, count, kinks, beta = homotopy(X, y, levels)
+            beta = betas[4].copy()
+            beta[0] = np.nan
+            return betas, 5, kinks, beta
+
+        monkeypatch.setattr(solvers, "_homotopy", stopped)
+        with pytest.raises(SolverError, match="non-finite"):
+            lasso_path(data, grid)
+
     def test_certificate_scales_with_the_response(self):
         # Round-off in X'(y - X b)/n grows with y. A response in raw units,
         # or one with a large mean, must still certify at every point.
