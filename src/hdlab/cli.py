@@ -303,11 +303,11 @@ def _sanity(rep):
                      for row in zip(*(c[bad].tolist() for c in (v, label, t)))]
         for name in dict.fromkeys(label.tolist()):
             at = label == name
-            ts, vs = t[at], v[at]
-            # The value at -t, where the curve has that point.
-            order = np.argsort(ts)
-            mirror = order[np.minimum(np.searchsorted(ts, -ts, sorter=order), ts.size - 1)]
-            asym = (ts[mirror] == -ts) & (np.abs(vs[mirror] - vs) > 1e-9)
+            ts, vs = np.sort(t[at]), v[at][np.argsort(t[at])]
+            # The value at the grid point nearest -t, where one lies within 1e-9.
+            near = np.clip(np.searchsorted(ts, -ts), 1, ts.size - 1)
+            near -= np.abs(ts[near - 1] + ts) <= np.abs(ts[near] + ts)
+            asym = (np.abs(ts[near] + ts) <= 1e-9 * (1 + abs(ts))) & (np.abs(vs[near] - vs) > 1e-9)
             if asym.any():
                 problems.append("%s asymmetric at t=%s" % (name, ts[asym.argmax()].tolist()))
     elif rep.experiment == "projection_error":

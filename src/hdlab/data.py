@@ -227,7 +227,7 @@ def standardize(data):
         raise ValidationError("standardize needs at least 2 rows")
     mu = data.X.mean(axis=0)
     Xc = data.X - mu
-    sd = np.sqrt((Xc * Xc).sum(axis=0) / (data.n - 1))  # as np.std(ddof=1) does
+    sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / (data.n - 1))  # as np.std(ddof=1)
     bad = np.flatnonzero(sd == 0.0)
     if bad.size:
         j = int(bad[0])

@@ -29,7 +29,7 @@ from .diagnostics import (
     residual_variance,
 )
 from .dimred import median_relative_error, pairwise_distances, pca, random_projection
-from .errors import ConfigurationError, UndefinedMetricError, ValidationError
+from .errors import ConfigurationError, SolverError, UndefinedMetricError, ValidationError
 from .penalties import PenaltySpec, penalty_value
 from .report import ExperimentReport
 from .solvers import coord_descent_l1, cross_validate, lasso_path, ols_refit
@@ -393,6 +393,9 @@ def endogeneity_experiment(seed=0, n=200, d=200, support_size=3, support_strengt
         lam_star, _ = cross_validate(data, grid, folds, [seed, idx, 1])
         start = lasso_path(data, [lam_star]).betas[0]
         fit = coord_descent_l1(data, lam_star, beta_init=start)
+        if not fit.converged:
+            raise SolverError("endogeneity_experiment: the %s fit at lambda=%.6g did not "
+                              "converge" % (scenario, lam_star))
         diag = endogeneity_diagnostic(data, fit, permutations, [seed, idx, 2])
         thresh = diag.null_quantile(0.95)
         tails.append(diag.tail_statistic)

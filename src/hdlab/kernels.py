@@ -25,8 +25,13 @@ def cd_weighted_l1(X, y, weights, beta, tol, max_iter):
     if not (isinstance(X, np.ndarray) and X.flags.f_contiguous and X.dtype == np.float64):
         raise ValueError("X must be a Fortran-ordered float64 array")
     n, d = X.shape
-    colsq = np.einsum("ij,ij->j", X, X)
+    # Python floats, lists and views of X.T's rows: the same IEEE operations
+    # as on NumPy scalars, for less per visit. beta is written back at the end.
+    colsq = np.einsum("ij,ij->j", X, X).tolist()
+    wn = (weights * n).tolist()
+    cols = list(X.T)
     r = y - X @ beta
+    b = beta.tolist()
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
@@ -36,9 +41,9 @@ def cd_weighted_l1(X, y, weights, beta, tol, max_iter):
             cj = colsq[j]
             if cj <= 0.0:
                 continue
-            bj = beta[j]
-            zj = X[:, j] @ r + cj * bj
-            wj = weights[j] * n
+            bj = b[j]
+            zj = float(cols[j] @ r) + cj * bj
+            wj = wn[j]
             if zj > wj:
                 bnew = (zj - wj) / cj
             elif zj < -wj:
@@ -46,8 +51,8 @@ def cd_weighted_l1(X, y, weights, beta, tol, max_iter):
             else:
                 bnew = 0.0
             if bnew != bj:
-                r -= (bnew - bj) * X[:, j]
-                beta[j] = bnew
+                r -= (bnew - bj) * cols[j]
+                b[j] = bnew
                 change = abs(bnew - bj)
                 if change > max_change:
                     max_change = change
@@ -57,4 +62,5 @@ def cd_weighted_l1(X, y, weights, beta, tol, max_iter):
         if max_change < tol * (1.0 + max_abs):
             converged = True
             break
+    beta[:] = b
     return it, converged

@@ -45,7 +45,7 @@ _POLISH_SWEEPS = 100
 _POLISH_ROUNDS = 200
 _GRAM_PIVOT_FLOOR = 1e-14
 # lla: the bound on an exact round's weighted KKT violation, on the same
-# max(1, ||y||/sqrt(n)) scale (see _exact_round).
+# max(1, ||y||/sqrt(n)) scale (see _support_start).
 _EXACT_KKT_TOL = 1e-12
 
 
@@ -231,34 +231,37 @@ def ista(data, penalty, step=None, tol=1e-10, max_iter=5000):
     return _finish(data, beta, obj, it, converged, trace=trace)
 
 
-def _exact_round(data, weights, beta, bound):
-    """The weighted-L1 minimizer on the support and signs of beta, or None.
+def _support_start(data, weights, beta, bound):
+    """The weighted-L1 minimizer on the support and signs of beta, as a
+    _homotopy start (active, signs, XA, F), or None.
 
     With A the support of beta and s_A its signs, solves
-    X_A'X_A b_A / n = X_A'y/n - w_A * s_A. The solution is the minimizer
-    only if its signs are s_A and it meets the weighted KKT conditions
-    everywhere, so it is returned only when sign(b_A) = s_A and
+    G b_A = X_A'y/n - w_A * s_A, G = X_A'X_A/n, through one Cholesky
+    factorization G = L L', which gives F = L^-T with F F' = G^-1. The
+    solution is the minimizer only if its signs are s_A and it meets the
+    weighted KKT conditions everywhere, so None unless sign(b_A) = s_A and
     kkt_violation(data, b, weights) <= bound. None also when the support
-    is empty or has n or more columns (standardized columns are centered,
-    so n of them have a singular Gram matrix), or when the solve fails.
+    has n or more columns (standardized columns are centered, so n of them
+    have a singular Gram matrix), or when the factorization fails.
     """
-    A = np.flatnonzero(beta)
-    if A.size == 0 or A.size >= data.n:
+    (n, d), A = data.X.shape, np.flatnonzero(beta)
+    if A.size >= n:
         return None
     signs = np.sign(beta[A])
-    XA = data.X[:, A]
+    XA = np.empty((n, min(n, d)), order="F")
+    XA[:, :A.size] = data.X[:, A]
     try:
-        coef = np.linalg.solve(XA.T @ XA / data.n,
-                               XA.T @ data.y / data.n - weights[A] * signs)
+        L = np.linalg.cholesky(XA[:, :A.size].T @ XA[:, :A.size] / n)
     except np.linalg.LinAlgError:
         return None
-    if not np.array_equal(np.sign(coef), signs):
+    F = np.zeros((XA.shape[1],) * 2)
+    Fk = F[:A.size, :A.size] = np.linalg.inv(L).T
+    exact = np.zeros(d)
+    exact[A] = Fk @ (Fk.T @ (XA[:, :A.size].T @ data.y / n - weights[A] * signs))
+    if not (np.array_equal(np.sign(exact[A]), signs)
+            and kkt_violation(data, exact, weights) <= bound):
         return None
-    exact = np.zeros(data.d)
-    exact[A] = coef
-    if not kkt_violation(data, exact, weights) <= bound:
-        return None
-    return exact
+    return A.tolist(), signs.tolist(), XA, F
 
 
 def lla(data, penalty, init=None, tol=1e-8, max_outer=1000, inner_tol=1e-10,
@@ -267,16 +270,19 @@ def lla(data, penalty, init=None, tol=1e-8, max_outer=1000, inner_tol=1e-10,
 
     Each outer round freezes weights w_j = P'(|b_j|) and minimizes the
     weighted L1 problem, so the true penalized objective (tracked in
-    objective_trace) never increases (Zou & Li 2008). A round first tries
-    the exact solution on the current support and signs, one linear solve
-    (_exact_round), kept only when its signs hold and its weighted KKT
-    violation is at most _EXACT_KKT_TOL * max(1, ||y||/sqrt(n)). Otherwise,
-    and always from a zero start, the round is coordinate descent
-    warm-started from the current iterate; so from a zero start the first
-    round is exactly the Lasso at the penalty's lam. Stops when the weight
-    vector moves less than tol in sup norm, or after max_outer rounds. The
-    fit counts as converged only when the weights settled and the last
-    round was exact or its coordinate descent converged.
+    objective_trace) never increases (Zou & Li 2008). The first round is
+    coordinate descent from init, so from a zero start it is exactly the
+    Lasso at the penalty's lam. A later round walks the exact solution from
+    the previous round's weights to its own by _homotopy (Asif & Romberg
+    2013), from where the previous walk ended, or after a round by
+    coordinate descent from the exact solution on that round's support
+    (_support_start). The round is coordinate descent warm-started from the
+    current iterate instead when that start is refused, the walk stops
+    early, or its end point's weighted KKT violation exceeds
+    _EXACT_KKT_TOL * max(1, ||y||/sqrt(n)). Stops when the weight vector
+    moves less than tol in sup norm, or after max_outer rounds. The fit
+    counts as converged only when the weights settled and the last round
+    was exact or its coordinate descent converged.
     """
     if penalty.family not in ("scad", "mcp"):
         raise ConfigurationError("the reweighted scheme needs a scad or mcp penalty")
@@ -300,23 +306,30 @@ def lla(data, penalty, init=None, tol=1e-8, max_outer=1000, inner_tol=1e-10,
     weights = penalty_derivative(penalty, np.abs(beta))
     trace = [penalized_objective(data, beta, penalty)]
     converged = False
+    start = previous = None  # the exact solution at the previous weights
     outer = 0
     for outer in range(1, max_outer + 1):
-        exact = _exact_round(data, weights, beta, bound)
-        if exact is None:
+        if outer > 1 and start is None:
+            start = _support_start(data, previous, beta, bound)
+        if start is not None:
+            ends, count, _, _ = _homotopy(data.X, y, np.zeros(1), weights,
+                                          previous - weights, start)
+            if not (count and kkt_violation(data, ends[0], weights) <= bound):
+                start = None
+        if start is None:
             fit = coord_descent_weighted_l1(
                 data, weights, beta_init=beta, tol=inner_tol, max_iter=inner_max_iter
             )
             beta, inner_converged = fit.beta_hat, fit.converged
         else:
-            beta, inner_converged = exact, True
+            beta, inner_converged = ends[0], True
         trace.append(penalized_objective(data, beta, penalty))
         new_weights = penalty_derivative(penalty, np.abs(beta))
         if float(np.max(np.abs(new_weights - weights))) < tol:
             weights = new_weights
             converged = inner_converged
             break
-        weights = new_weights
+        previous, weights = weights, new_weights
     return _finish(data, beta, trace[-1], outer, converged, trace=trace)
 
 
@@ -535,25 +548,31 @@ def _check_grid(lambda_grid):
     return grid
 
 
-def _homotopy(X, y, levels):
-    """Follow the exact Lasso path down through the descending `levels`.
+def _homotopy(X, y, levels, base=None, slope=None, start=None):
+    """Follow the exact weighted-Lasso path down through the descending `levels`.
 
-    Between kinks the active coefficients are affine in lambda:
-    beta_A(lam) = u - lam * delta with G u = X_A'y/n and G delta = s_A, where
+    The weights at level s are w(s) = base + s * slope; the defaults, 0 and
+    1, give the Lasso path in s = lambda. Between kinks the active
+    coefficients are affine in s: beta_A(s) = u - s * delta with
+    G u = X_A'y/n - s_A * base_A and G delta = s_A * slope_A, where
     G = X_A'X_A/n is the active Gram matrix and s_A the active signs. The
-    correlations follow c(lam) = c0 + lam * a with c0 = X'(y - X_A u)/n and
-    a = X'X_A delta/n, so the next kink is the largest lambda below the
-    current one at which an inactive |c_j| reaches lam or an active
-    coefficient reaches zero.
+    correlations follow c(s) = c0 + s * a with c0 = X'(y - X_A u)/n and
+    a = X'X_A delta/n, so the next kink is the largest s below the current
+    one at which an active coefficient reaches zero or an inactive c_j
+    reaches sigma w_j(s), at (c0_j - sigma base_j) / (sigma slope_j - a_j).
 
     G^-1 is carried as a factor F with F F' = G^-1, with X_A and the
-    right-hand sides [X_A'y/n, s_A], so u and delta are F (F' [X_A'y/n, s_A]).
-    When a column enters, F gains one row of zeros and one column, O(k)
-    writes; when one leaves, F loses its row and one Householder reflection
-    folds that row into a last column, which is dropped, O(k^2). So a kink
-    costs O(nk + k^2) on top of the O(nd) correlation update, with no
-    O(k^3) solve and no k x k update on a join. Round-off in F shows up in
-    lasso_path's certificate.
+    right-hand sides [X_A'y/n - s_A * base_A, s_A * slope_A], so u and
+    delta are F (F' rhs). When a column enters, F gains one row of zeros and
+    one column, O(k) writes; when one leaves, F loses its row and one
+    Householder reflection folds that row into a last column, which is
+    dropped, O(k^2). So a kink costs O(nk + k^2) on top of the O(nd)
+    correlation update, with no O(k^3) solve and no k x k update on a join.
+    Round-off in F shows up in the callers' certificates.
+
+    The walk begins at the empty set at lam_max = max|X'y|/n, or at s = 1
+    from start = (active, signs, XA, F), the exact solution at w(1) as
+    _support_start builds it; start is then left where the walk ended.
 
     Returns (betas, count, kinks, beta): rows [0, count) of betas hold the
     path at levels[:count]. When count is short of levels.size the walk
@@ -563,31 +582,41 @@ def _homotopy(X, y, levels):
     m = min(n, d)
     betas = np.zeros((levels.size, d))
     c = X.T @ y / n
-    lam = float(np.max(np.abs(c)))
-    count = int(np.count_nonzero(levels >= lam))
     beta = np.zeros(d)
-    if count == levels.size:
-        return betas, count, 0, beta
-    j = int(np.argmax(np.abs(c)))
-    active = [j]
-    in_model = np.zeros(d, dtype=bool)
-    in_model[j] = True
-    # Columns [0, k) of XA are the active columns in the order of `active`,
-    # rows [0, k) of rhs their [X_A'y/n, s_A], and F[:k, :k] the factor;
-    # row k of F is zero up to column k.
-    XA = np.empty((n, m), order="F")
-    XA[:, 0] = X[:, j]
-    rhs = np.empty((m, 2))
-    rhs[0] = c[j], np.sign(c[j])
-    F = np.zeros((m, m))
-    F[0, 0] = math.sqrt(n / (X[:, j] @ X[:, j]))
-    fitted = np.empty((n, 2))
-    # c0 / (signs - a) holds both roots of |c0 + lam * a| = lam.
+    # (c0 - sbase) / (sslope - a) holds both roots of c0 + s a = +-w(s); on
+    # the Lasso path, with no base, they are c0 / (signs - a).
     signs = np.array([[1.0], [-1.0]])
-    changed = j
+    if base is None:
+        base, slope, sbase, sslope = np.zeros(d), np.ones(d), None, signs
+    else:
+        sbase, sslope = signs * base, signs * slope
+    if start is None:
+        lam = float(np.max(np.abs(c)))
+        count = int(np.count_nonzero(levels >= lam))
+        if count == levels.size:
+            return betas, count, 0, beta
+        j = int(np.argmax(np.abs(c)))
+        active, sgn = [j], [float(np.sign(c[j]))]
+        XA = np.empty((n, m), order="F")
+        XA[:, 0] = X[:, j]
+        F = np.zeros((m, m))
+        F[0, 0] = math.sqrt(n / (X[:, j] @ X[:, j]))
+        changed = j
+    else:
+        active, sgn, XA, F = start
+        lam, count, changed = 1.0, 0, None
+    in_model = np.zeros(d, dtype=bool)
+    in_model[active] = True
+    # Columns [0, k) of XA are the active columns in the order of `active`,
+    # rows [0, k) of rhs their right-hand sides, and F[:k, :k] the factor;
+    # row k of F is zero up to column k.
+    rhs = np.empty((m, 2))
+    rhs[:len(active), 0] = c[active] - np.multiply(sgn, base[active])
+    rhs[:len(active), 1] = np.multiply(sgn, slope[active])
+    fitted = np.empty((n, 2))
     kinks = 0
-    # Round-off at a tie can put an event just above the current lambda; up
-    # to this slack it is taken at the current lambda. The column that
+    # Round-off at a tie can put an event just above the current level; up
+    # to this slack it is taken at the current level. The column that
     # changed last is never a candidate, so a step cannot undo the previous
     # one (a column that entered last is last in `active`), and a missed
     # event shows up in the certificate. An event at or below 0 may stay a
@@ -605,17 +634,19 @@ def _homotopy(X, y, levels):
             np.subtract(y, fitted[:, 0], out=fitted[:, 0])
             c0, a = fitted.T @ X / n
 
-            roots = c0 / (signs - a)
+            roots = (c0 if sbase is None else c0 - sbase) / (sslope - a)
             join = np.where(roots <= lam + slack, roots, -np.inf).max(axis=0)
             join[in_model] = -np.inf
-            join[changed] = -np.inf
             leave = u / delta
             leave = np.where(leave <= lam + slack, leave, -np.inf)
-            if in_model[changed]:
-                leave[-1] = -np.inf
+            if changed is not None:
+                join[changed] = -np.inf
+                if in_model[changed]:
+                    leave[-1] = -np.inf
             j_in = int(join.argmax())
-            i_out = int(leave.argmax())
-            nxt = min(max(float(join[j_in]), float(leave[i_out]), 0.0), lam)
+            i_out = int(leave.argmax()) if k else 0
+            out = float(leave[i_out]) if k else -math.inf
+            nxt = min(max(float(join[j_in]), out, 0.0), lam)
 
             while count < levels.size and levels[count] >= nxt:
                 betas[count, active] = u - levels[count] * delta
@@ -625,7 +656,7 @@ def _homotopy(X, y, levels):
             lam = nxt
             if kinks == max_kinks:
                 break
-            if leave[i_out] >= join[j_in]:
+            if out >= join[j_in]:
                 # Without row and column i of G the inverse is
                 # F_i (I - t t'/t't) F_i', F_i being F less its row i and t
                 # that row. The reflection H = I - 2 v v'/v'v with
@@ -640,6 +671,7 @@ def _homotopy(X, y, levels):
                 Fk -= np.multiply.outer(Fk @ v, v * (2.0 / (v @ v)))
                 XA[:, i:k - 1] = XA[:, i + 1:k]
                 rhs[i:k - 1] = rhs[i + 1:k]
+                del sgn[i]
                 changed = active.pop(i)
                 in_model[changed] = False
                 kinks += 1
@@ -666,7 +698,9 @@ def _homotopy(X, y, levels):
             F[:k, k] = w / -root
             F[k, k] = 1.0 / root
             XA[:, k] = xj
-            rhs[k] = c[j_in], math.copysign(1.0, c0[j_in] + lam * a[j_in])
+            sigma = math.copysign(1.0, c0[j_in] + lam * a[j_in])
+            rhs[k] = c[j_in] - sigma * base[j_in], sigma * slope[j_in]
+            sgn.append(sigma)
             active.append(j_in)
             in_model[j_in] = True
             changed = j_in

@@ -25,7 +25,7 @@ from hdlab import (
     standardize,
     write_csv,
 )
-from hdlab import cli
+from hdlab import cli, experiments
 from hdlab.cli import build_parser, main, read_config
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -516,6 +516,33 @@ class TestDiagnose:
         assert code == 3
         assert "sanity check failed" in capsys.readouterr().err
 
+
+    def test_unconverged_final_fit_exits_2(self, tmp_path, monkeypatch, capsys):
+        coord_descent_l1 = experiments.coord_descent_l1
+
+        def unconverged(*args, **kwargs):
+            fit = coord_descent_l1(*args, **kwargs)
+            fit.converged = False
+            return fit
+
+        monkeypatch.setattr(experiments, "coord_descent_l1", unconverged)
+        assert main(["diagnose", "endogeneity", "--n", "60", "--d-single", "30",
+                     "--coupled-count", "8", "--permutations", "10",
+                     "--out", str(tmp_path / "d")]) == 2
+        assert main(["reproduce", "--figure", "endo", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.count("did not converge") == 2
+
+    def test_asymmetric_penalty_curve_exits_3(self, tmp_path, capsys):
+        # np.linspace(-3, 3, 21) puts 2.0999999999999996, not 2.1, opposite
+        # t = -2.1, so the check must find a point's mirror by nearness.
+        rep = cli.penalty_curves(points=21)
+        label, t, values = rep.tables["curves"][1]
+        i = next(k for k in range(t.size) if label[k] == "hard" and t[k] == -2.1)
+        assert 2.1 not in t
+        assert cli._finish(rep, str(tmp_path)) == 0
+        values[i] += 1e-6
+        assert cli._finish(rep, str(tmp_path)) == 3
+        assert "hard asymmetric at t=-2.1" in capsys.readouterr().err
 
 class TestReduce:
     def test_pca(self, tmp_path, csv_data):

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from hdlab import ConfigurationError, PenaltySpec, ValidationError, experiments, penalty_value
+from hdlab import (ConfigurationError, PenaltySpec, SolverError, ValidationError, experiments,
+                   penalty_value)
 from hdlab.experiments import (
     endogeneity_experiment,
     noise_accumulation_experiment,
@@ -255,6 +256,20 @@ class TestEndogeneityExperiment:
             assert kkt_violation(data, fit.beta_hat, lam) <= 1e-12
             start = lasso_path(data, [lam]).betas[0]
             assert np.max(np.abs(fit.beta_hat - start)) <= 1e-12
+
+    def test_unconverged_final_fit_raises(self, monkeypatch):
+        # The flag and the support size come from the final fit, so a fit
+        # that did not converge is a solver failure, not a reported result.
+        coord_descent_l1 = experiments.coord_descent_l1
+
+        def unconverged(*args, **kwargs):
+            fit = coord_descent_l1(*args, **kwargs)
+            fit.converged = False
+            return fit
+
+        monkeypatch.setattr(experiments, "coord_descent_l1", unconverged)
+        with pytest.raises(SolverError, match="planted fit .* did not converge"):
+            endogeneity_experiment(**SMALL_ENDO)
 
     def test_correlations_are_columns(self, tmp_path):
         # The values are one float64 array, which the writer formats a block

@@ -74,6 +74,66 @@ class TestPurePython:
         assert iters == 2 and not converged
 
 
+def _reference_cd(X, y, weights, beta, tol, max_iter):
+    """The kernel's loop on NumPy scalars, as it was before it moved to Python
+    floats and lists; the kernel must match it bit for bit."""
+    n, d = X.shape
+    colsq = np.einsum("ij,ij->j", X, X)
+    r = y - X @ beta
+    it = 0
+    converged = False
+    for it in range(1, max_iter + 1):
+        max_change = 0.0
+        max_abs = 0.0
+        for j in range(d):
+            cj = colsq[j]
+            if cj <= 0.0:
+                continue
+            bj = beta[j]
+            zj = X[:, j] @ r + cj * bj
+            wj = weights[j] * n
+            if zj > wj:
+                bnew = (zj - wj) / cj
+            elif zj < -wj:
+                bnew = (zj + wj) / cj
+            else:
+                bnew = 0.0
+            if bnew != bj:
+                r -= (bnew - bj) * X[:, j]
+                beta[j] = bnew
+                change = abs(bnew - bj)
+                if change > max_change:
+                    max_change = change
+            ab = abs(bnew)
+            if ab > max_abs:
+                max_abs = ab
+        if max_change < tol * (1.0 + max_abs):
+            converged = True
+            break
+    return it, converged
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_matches_the_numpy_scalar_loop_bit_for_bit(seed):
+    # Random shapes and weights; some cases hold a zero column, zero weights,
+    # a warm start or a sweep cap that stops the solve unconverged.
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(5, 120)), int(rng.integers(1, 150))
+    X = np.asfortranarray(rng.standard_normal((n, d)))
+    if seed % 4 == 1:
+        X[:, int(rng.integers(d))] = 0.0
+    y = X[:, : min(d, 3)] @ rng.uniform(-2.0, 2.0, min(d, 3)) + rng.standard_normal(n)
+    weights = rng.uniform(0.0, 0.5, d) * (rng.random(d) < 0.8)
+    if seed % 5 == 2:
+        weights[:] = 0.0
+    start = rng.standard_normal(d) * (rng.random(d) < 0.3) if seed % 3 == 0 else np.zeros(d)
+    tol, max_iter = (1e-12, 5) if seed % 7 == 3 else (1e-10, 2000)
+    beta, want = start.copy(), start.copy()
+    got = kernels.cd_weighted_l1(X, y, weights, beta, tol, max_iter)
+    assert got == _reference_cd(X, y, weights, want, tol, max_iter)
+    assert beta.tobytes() == want.tobytes()
+
+
 def test_package_holds_no_generated_code():
     # The kernel is plain NumPy; no extension source or binary ships.
     root = os.path.dirname(hdlab.__file__)

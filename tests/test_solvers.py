@@ -328,26 +328,28 @@ class TestLla:
 
     def test_unconverged_inner_solve_is_reported(self, monkeypatch):
         # With one sweep per inner solve the weights settle after 2 rounds
-        # while the fit is still up to 4e-3 from SCAD stationarity. On these
-        # seeds both rounds are coordinate descent (a spy on the exact round
-        # shows it refused), so the fit must not be reported converged.
+        # while the fit is still up to 9e-3 from SCAD stationarity. On these
+        # seeds the exact solve on round 1's support is refused (a spy on
+        # _support_start shows it), so round 2 is coordinate descent too, and
+        # the fit must not be reported converged.
         spec = LinearModelSpec(n=100, d=20, beta={0: 2.0, 3: -1.0}, noise_sd=0.5)
         pen = PenaltySpec("scad", 0.1, 3.7)
-        exact = []
-        real = solvers._exact_round
-        monkeypatch.setattr(solvers, "_exact_round",
-                            lambda *a: exact.append(real(*a)) or exact[-1])
-        for seed in (0, 2, 4):
+        starts = []
+        real = solvers._support_start
+        monkeypatch.setattr(solvers, "_support_start",
+                            lambda *a: starts.append(real(*a)) or starts[-1])
+        for seed in (0, 2, 5):
             data = standardize(gen_linear(spec, seed))
-            del exact[:]
+            del starts[:]
             assert not lla(data, pen, inner_max_iter=1).converged
-            assert exact and exact[-1] is None
+            assert starts == [None]
             assert lla(data, pen).converged
 
     def test_exact_final_round_after_unconverged_sweeps(self, monkeypatch):
-        # Seed 1 of the test above: after two one-sweep rounds the third
-        # round is exact, so the fit is converged and meets SCAD
-        # stationarity although no coordinate descent converged.
+        # Seed 1 of the test above: the start for round 2 is refused, but
+        # round 3 starts from round 2's support and walks to an exact point,
+        # so the fit is converged and meets SCAD stationarity although no
+        # coordinate descent converged.
         spec = LinearModelSpec(n=100, d=20, beta={0: 2.0, 3: -1.0}, noise_sd=0.5)
         pen = PenaltySpec("scad", 0.1, 3.7)
         data = standardize(gen_linear(spec, 1))
@@ -362,35 +364,61 @@ class TestLla:
         assert kkt_violation(data, fit.beta_hat, weights) <= 1e-8
 
     def test_exact_round_meets_its_kkt_bound(self):
-        data = sparse_problem(43)
-        pen = PenaltySpec("scad", 0.15, 3.7)
-        beta = coord_descent_l1(data, 0.15).beta_hat
+        # Round 2 of SCAD from the Lasso: the start is the exact solution on
+        # the Lasso's support, and the walk to the weights P'(|b|) drops
+        # column 39 and adds column 5 on its way to the weighted-L1 minimizer.
+        data = sparse_problem(40, d=40, noise=1.0)
+        pen = PenaltySpec("scad", 0.1, 3.7)
+        beta = coord_descent_l1(data, 0.1).beta_hat
+        old = np.full(data.d, 0.1)
         weights = penalty_derivative(pen, np.abs(beta))
         bound = solvers._EXACT_KKT_TOL * max(1.0, float(np.linalg.norm(data.y))
                                              / math.sqrt(data.n))
-        exact = solvers._exact_round(data, weights, beta, bound)
-        assert exact is not None
-        assert np.array_equal(np.sign(exact), np.sign(beta))
+        start = solvers._support_start(data, old, beta, bound)
+        assert start[0] == np.flatnonzero(beta).tolist()
+        ends, count, kinks, _ = solvers._homotopy(data.X, data.y, np.zeros(1), weights,
+                                                  old - weights, start)
+        exact = ends[0]
+        assert count == 1 and kinks == 2
         assert kkt_violation(data, exact, weights) <= bound
         cd = coord_descent_weighted_l1(data, weights, beta_init=beta, tol=1e-14)
         assert np.max(np.abs(exact - cd.beta_hat)) <= 1e-9
+        # The start now holds the end point's active set, signs and factor,
+        # ready for the next round's walk.
+        active, signs, XA, F = start
+        k = len(active)
+        assert sorted(active) == np.flatnonzero(exact).tolist()
+        assert signs == np.sign(exact[active]).tolist()
+        assert np.array_equal(XA[:, :k], data.X[:, active])
+        gram = XA[:, :k].T @ XA[:, :k] / data.n
+        assert np.max(np.abs(F[:k, :k] @ F[:k, :k].T @ gram - np.eye(k))) <= 1e-12
 
     def test_sign_flip_falls_back_to_coordinate_descent(self):
-        # The true coefficient on column 3 is -1.5; starting it at +0.5 the
-        # solve on the support and signs comes out negative there.
+        # The true coefficient on column 3 is -1.5; at +0.5 there the solve
+        # on the support and signs comes out negative, so the start is
+        # refused.
         data = sparse_problem(44)
         pen = PenaltySpec("mcp", 0.1, 3.0)
         init = np.zeros(data.d)
         init[[0, 3]] = 2.0, 0.5
         weights = penalty_derivative(pen, np.abs(init))
-        assert solvers._exact_round(data, weights, init, 1.0) is None
-        one = lla(data, pen, init=init, max_outer=1)
-        cd = coord_descent_weighted_l1(data, weights, beta_init=init)
-        assert np.array_equal(one.beta_hat, cd.beta_hat)
+        assert solvers._support_start(data, weights, init, 1.0) is None
+        # In lla a round with a refused start is coordinate descent
+        # warm-started from the current iterate: seed 0 of the tests above
+        # refuses round 2's start.
+        spec = LinearModelSpec(n=100, d=20, beta={0: 2.0, 3: -1.0}, noise_sd=0.5)
+        pen = PenaltySpec("scad", 0.1, 3.7)
+        data = standardize(gen_linear(spec, 0))
+        two = lla(data, pen, max_outer=2, inner_max_iter=1)
+        one = coord_descent_weighted_l1(data, np.full(data.d, 0.1), max_iter=1).beta_hat
+        cd = coord_descent_weighted_l1(data, penalty_derivative(pen, np.abs(one)),
+                                       beta_init=one, max_iter=1)
+        assert np.array_equal(two.beta_hat, cd.beta_hat)
 
     def test_support_of_n_columns_falls_back_to_coordinate_descent(self):
         # n centered columns span at most n - 1 dimensions, so the Gram
-        # matrix of a support that large is singular and is refused.
+        # matrix of a support that large is singular: a start on it is
+        # refused, and a walk stops before its active set reaches n columns.
         data = standardize(gen_iid_gaussian(10, 20, seed=45))
         data = Dataset(data.X, np.random.default_rng(45).standard_normal(10))
         pen = PenaltySpec("scad", 0.05, 3.7)
@@ -398,10 +426,67 @@ class TestLla:
             init = np.zeros(20)
             init[:size] = 0.1
             weights = penalty_derivative(pen, np.abs(init))
-            assert solvers._exact_round(data, weights, init, 1.0) is None
-            one = lla(data, pen, init=init, max_outer=1)
-            cd = coord_descent_weighted_l1(data, weights, beta_init=init)
-            assert np.array_equal(one.beta_hat, cd.beta_hat)
+            assert solvers._support_start(data, weights, init, 1.0) is None
+        # From the Lasso at 0.3 toward zero weights the path gains columns
+        # until 9 are active and a tenth would enter.
+        old = np.full(20, 0.3)
+        start = solvers._support_start(data, old, lasso_path(data, [0.3]).betas[0], 1e-12)
+        _, count, _, _ = solvers._homotopy(data.X, data.y, np.zeros(1), np.zeros(20), old,
+                                           start)
+        assert count == 0 and len(start[0]) == 9
+
+    def test_stopped_walk_falls_back_to_coordinate_descent(self, monkeypatch):
+        # With a pivot floor no column can meet, every walk that would add
+        # a column stops, and its round is coordinate descent instead: the
+        # rounds and the fit are those of the walks, within the inner
+        # tolerance.
+        data = sparse_problem(40, d=40, noise=1.0)
+        pen = PenaltySpec("scad", 0.1, 3.7)
+        walked = lla(data, pen)
+        calls = []
+        real = kernels.cd_weighted_l1
+        monkeypatch.setattr(kernels, "cd_weighted_l1",
+                            lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(solvers, "_GRAM_PIVOT_FLOOR", 2.0)
+        fit = lla(data, pen)
+        assert fit.converged and fit.iterations == walked.iterations
+        assert np.max(np.abs(fit.beta_hat - walked.beta_hat)) <= 1e-9
+        assert len(calls) > 1
+
+    def test_tie_at_the_start_of_a_walk(self):
+        # Column j enters the Lasso path at lam_k. Starting at the Lasso
+        # solution there, with j's weight 1e-15 below its |c_j| (within the
+        # start's KKT bound), j's join root lies just above s = 1. The walk
+        # down to the Lasso at 0.8 lam_k must take it at the start: a rule
+        # that took only events below the current level would miss it, and
+        # the end point would fail its KKT conditions.
+        data, lam_max = lasso_fold_problem(11, n=60, d=80)
+        X, y, n = data.X, data.y, data.n
+        beta = lasso_path(data, [0.5 * lam_max]).betas[0]
+        A = np.flatnonzero(beta)
+        XA = X[:, A]
+        u, delta = np.linalg.solve(XA.T @ XA / n,
+                                   np.column_stack([XA.T @ y / n, np.sign(beta[A])])).T
+        c0, a = X.T @ (y - XA @ u) / n, X.T @ (XA @ delta) / n
+        with np.errstate(divide="ignore"):
+            roots = np.maximum(c0 / (1.0 - a), -c0 / (1.0 + a))
+        roots[(roots >= 0.5 * lam_max) | (roots <= 0.0)] = -np.inf
+        roots[A] = -np.inf
+        j = int(np.argmax(roots))
+        lam_k = float(roots[j])
+        at_k = np.zeros(data.d)
+        at_k[A] = u - lam_k * delta
+        old = np.full(data.d, lam_k)
+        old[j] = abs(c0[j] + lam_k * a[j]) * (1.0 - 1e-15)
+        bound = solvers._EXACT_KKT_TOL * max(1.0, float(np.linalg.norm(y)) / math.sqrt(n))
+        start = solvers._support_start(data, old, at_k, bound)
+        assert start is not None
+        new = np.full(data.d, 0.8 * lam_k)
+        ends, count, kinks, _ = solvers._homotopy(X, y, np.zeros(1), new, old - new, start)
+        assert count == 1 and kinks >= 1 and j in start[0]
+        assert kkt_violation(data, ends[0], new) <= bound
+        want = lasso_path(data, [0.8 * lam_k]).betas[0]
+        assert np.max(np.abs(ends[0] - want)) <= 1e-9
 
     def test_same_rounds_as_coordinate_descent_only(self, monkeypatch):
         # The reference is the reweighting loop with a coordinate descent
