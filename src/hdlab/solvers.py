@@ -735,7 +735,8 @@ def lasso_path(data, lambda_grid):
     Tibshirani 2004; Osborne, Presnell & Turlach 2000). The inverse is
     carried as a factor F F' (see _homotopy): O(k) to grow by a column, one
     Householder step to drop one. Works from X and that factor only, so
-    memory stays O(nd) on wide data.
+    memory stays O(nd) on wide data. The path is the weight walk of
+    _homotopy with all weights equal to lambda, the engine lla's rounds use.
 
     Each grid point is certified by kkt_violation() against the bound
     PATH_KKT_TOL * max(1, ||y||/sqrt(n)). Round-off in X'(y - X b)/n grows
