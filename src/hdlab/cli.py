@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .data import is_int, read_csv, standardize
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, SolverError, ValidationError
 from .experiments import (
     endogeneity_experiment,
     noise_accumulation_experiment,
@@ -140,6 +140,8 @@ def cmd_fit(args):
     if args.solver == "dantzig":
         extras["gamma_n"] = lam
     fit = solve(data, lam, None)
+    if not fit.converged:
+        raise SolverError("fit: the %s fit at lambda=%.6g did not converge" % (args.solver, lam))
     if args.solver == "cd":
         extras["kkt_violation"] = kkt_violation(data, fit.beta_hat, lam)
     elif args.solver == "lla":

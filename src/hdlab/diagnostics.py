@@ -279,8 +279,10 @@ def rcv_variance(data, selector, seed):
                 "selected %d columns but the refit half has only %d rows"
                 % (support.size, fit_idx.size)
             )
-        fit_ds = Dataset(data.X[fit_idx], y[fit_idx])
-        estimates.append(residual_variance(fit_ds, support).sigma2_hat)
+        # Refit only the support's columns; a Dataset needs at least one.
+        cols = support if support.size else np.arange(1)
+        fit_ds = Dataset(data.X[np.ix_(fit_idx, cols)], y[fit_idx])
+        estimates.append(residual_variance(fit_ds, np.arange(support.size)).sigma2_hat)
         sizes.append(int(support.size))
     return VarianceEstimate(0.5 * (estimates[0] + estimates[1]), "rcv", max(sizes))
 

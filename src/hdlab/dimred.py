@@ -13,10 +13,10 @@ sqrt(k/d) on average, the projection is rescaled by sqrt(d/k) so squared
 distances are unbiased and the two methods are comparable on the same
 distortion scale.
 
-Distortion compares pairwise distances, which are computed in row blocks by
-the Gram formula on centered rows; pairs where that formula could lose
-accuracy to cancellation are recomputed from direct row differences (see
-pairwise_distances).
+Distortion compares pairwise distances, computed in row blocks by the Gram
+formula on centered rows, each block's products written in place into one
+tile; pairs that could lose accuracy to cancellation are recomputed from row
+differences (see pairwise_distances). Their median is one in-place selection.
 """
 
 import math
@@ -174,8 +174,8 @@ def pairwise_distances(X):
     The rows are centered (distances do not change under translation), and
     each block of rows is compared with every later row by the Gram formula
     d2_ij = |x_i|^2 + |x_j|^2 - 2<x_i, x_j>, one matrix product per tile of
-    _BLOCK_ROWS x _BLOCK_ROWS rows, so no n x n or centered n x d array is
-    formed.
+    _BLOCK_ROWS x _BLOCK_ROWS rows written in place into the block's row of
+    tiles, so no n x n or centered n x d array is formed.
 
     Error bound. With unit roundoff u = 2**-53 and g = d*u / (1 - d*u), each
     of the three inner products of centered rows is off by at most
@@ -200,14 +200,19 @@ def pairwise_distances(X):
     # Last block first, so the squared norms of all later rows are known.
     for s in reversed(range(0, n, _BLOCK_ROWS)):
         block = X[s:s + _BLOCK_ROWS] - mean
-        sq[s:s + _BLOCK_ROWS] = np.einsum("ij,ij->i", block, block)
-        later = range(s + _BLOCK_ROWS, n, _BLOCK_ROWS)
-        gram = np.hstack([block @ block.T]
-                         + [block @ (X[t:t + _BLOCK_ROWS] - mean).T for t in later])
-        # Pairs (i, j > i) of this block, in condensed order.
-        upper = np.arange(n - s) > np.arange(block.shape[0])[:, None]
-        norms = (sq[s:s + _BLOCK_ROWS, None] + sq[None, s:])[upper]
-        d2 = norms - 2.0 * gram[upper]
+        b = block.shape[0]
+        sq[s:s + b] = np.einsum("ij,ij->i", block, block)
+        gram = np.empty((b, n - s))
+        for t in range(s, n, _BLOCK_ROWS):
+            other = block if t == s else X[t:t + _BLOCK_ROWS] - mean
+            np.matmul(block, other.T, out=gram[:, t - s:t - s + _BLOCK_ROWS])
+        # Pairs (i, j > i) of this block, in condensed order: n - s - 1 - i in row i.
+        upper = ~np.tri(b, n - s, dtype=bool)
+        norms = np.broadcast_to(sq[s:], upper.shape)[upper]
+        norms += np.repeat(sq[s:s + b], n - s - 1 - np.arange(b))
+        d2 = gram[upper]
+        d2 *= -2.0
+        d2 += norms  # the bits of norms - 2.0 * gram[upper]
         close = np.flatnonzero(d2 <= _GUARD_TAU * norms)
         if close.size:
             rows, cols = np.nonzero(upper)
@@ -216,7 +221,7 @@ def pairwise_distances(X):
                 diff = X[s + cols[pick]] - X[s + rows[pick]]
                 d2[pick] = np.einsum("ij,ij->i", diff, diff)
         pos = s * n - s * (s + 1) // 2
-        out[pos:pos + d2.size] = np.sqrt(d2)
+        np.sqrt(d2, out=out[pos:pos + d2.size])
     return out
 
 
@@ -241,15 +246,24 @@ def distortion(data, proj):
 
 
 def median_relative_error(orig, reduced):
-    """Median of |reduced - orig| / orig over the pairs with orig > 0.
-
-    Raises UndefinedMetricError if every original distance is zero.
-    """
+    """Median of |reduced - orig| / orig over the pairs with orig > 0, bit for
+    bit as np.median gives it (NaN included), by one in-place selection at
+    size // 2 and, for an even size, a max over the ratios below it. Raises
+    UndefinedMetricError if every original distance is zero."""
     keep = orig > 0.0
-    if not np.any(keep):
-        raise UndefinedMetricError("all rows coincide; distances carry no information")
-    rel = np.abs(reduced[keep] - orig[keep]) / orig[keep]
-    return float(np.median(rel))
+    if not keep.all():
+        if not keep.any():
+            raise UndefinedMetricError("all rows coincide; distances carry no information")
+        orig, reduced = orig[keep], reduced[keep]
+    rel = np.abs(reduced - orig)
+    rel /= orig
+    if np.isnan(rel).any():
+        return float(np.median(rel))
+    m = rel.size // 2
+    rel.partition(m)
+    if rel.size % 2:
+        return float(rel[m])
+    return float((rel[:m].max() + rel[m]) / 2)
 
 
 def reconstruction_error(data, proj):

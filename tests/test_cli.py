@@ -203,6 +203,21 @@ class TestFit:
         assert code == 2
         assert "--lambda" in capsys.readouterr().err
 
+    def test_unconverged_fit_exits_2_without_coefficients(self, tmp_path, csv_data,
+                                                          monkeypatch, capsys):
+        real = cli.coord_descent_l1
+
+        def unconverged(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            fit.converged = False
+            return fit
+
+        monkeypatch.setattr(cli, "coord_descent_l1", unconverged)
+        out = tmp_path / "o"
+        assert main(["fit", "--data", csv_data[0], "--lambda", "0.1", "--out", str(out)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not (out / "fit_coefficients.csv").exists()
+
     def test_ista_rejects_oversized_step(self, tmp_path, csv_data):
         # --step 0 is refused too, not read as "no step given".
         path, _ = csv_data

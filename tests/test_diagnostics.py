@@ -357,6 +357,24 @@ class TestRcvVariance:
         assert np.mean(naive_vals) < np.mean(rcv_vals) - 0.1
         assert 0.6 < np.mean(rcv_vals) < 1.4
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_refit_on_the_full_half(self, seed):
+        # The estimate as it was when each half was refit as a Dataset of all
+        # d columns; refitting only the support's columns gives the same bits.
+        spec = LinearModelSpec(n=60, d=300, beta={0: 2.0, 7: -1.0}, noise_sd=0.8)
+        data = standardize(gen_linear(spec, 80 + seed))
+        size = (0, 1, 3, 6, 6, 12)[seed]
+        sel = lambda ds: greedy_spurious_support(ds, size) if size else []  # noqa: E731
+        y = data.y
+        perm = np.random.default_rng(seed).permutation(data.n)
+        halves = (perm[:data.n // 2], perm[data.n // 2:])
+        want = [residual_variance(Dataset(data.X[fit], y[fit]),
+                                  sel(Dataset(data.X[own], y[own]))).sigma2_hat
+                for own, fit in (halves, halves[::-1])]
+        est = rcv_variance(data, sel, seed=seed)
+        assert est.sigma2_hat == 0.5 * (want[0] + want[1])
+        assert est.support_size == size
+
     def test_selection_size_guard(self):
         data = gen_linear(LinearModelSpec(n=10, d=8, beta={}), 74)
         with pytest.raises(SelectionTooLargeError):

@@ -258,6 +258,102 @@ class TestPairwiseDistances:
         assert out[pair(1, n - 2)] == pytest.approx(np.linalg.norm(X[n - 2] - X[1]), rel=1e-12)
 
 
+def _reference_pairwise(X):
+    """pairwise_distances as it was before its tiles were built in place:
+    the same tile products, joined by np.hstack, and every Gram value
+    gathered through full-tile temporaries. The function must match it bit
+    for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    if n < 2:
+        return out
+    mean = X.mean(axis=0)
+    sq = np.empty(n)
+    for s in reversed(range(0, n, _BLOCK_ROWS)):
+        block = X[s:s + _BLOCK_ROWS] - mean
+        sq[s:s + _BLOCK_ROWS] = np.einsum("ij,ij->i", block, block)
+        later = range(s + _BLOCK_ROWS, n, _BLOCK_ROWS)
+        gram = np.hstack([block @ block.T]
+                         + [block @ (X[t:t + _BLOCK_ROWS] - mean).T for t in later])
+        upper = np.arange(n - s) > np.arange(block.shape[0])[:, None]
+        norms = (sq[s:s + _BLOCK_ROWS, None] + sq[None, s:])[upper]
+        d2 = norms - 2.0 * gram[upper]
+        close = np.flatnonzero(d2 <= dimred._GUARD_TAU * norms)
+        if close.size:
+            rows, cols = np.nonzero(upper)
+            for c in range(0, close.size, _BLOCK_ROWS):
+                pick = close[c:c + _BLOCK_ROWS]
+                diff = X[s + cols[pick]] - X[s + rows[pick]]
+                d2[pick] = np.einsum("ij,ij->i", diff, diff)
+        pos = s * n - s * (s + 1) // 2
+        out[pos:pos + d2.size] = np.sqrt(d2)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("d", [1, 10, 300])
+def test_pairwise_matches_the_hstack_tiles_bit_for_bit(n, d):
+    rng = np.random.default_rng(1000 * n + d)
+    X = 3.0 + rng.standard_normal((n, d))
+    if n > 3:
+        # Duplicates within a block and across blocks, so the guard fires.
+        X[n - 1] = X[0]
+        X[n // 2] = X[1]
+    got, want = pairwise_distances(X), _reference_pairwise(X)
+    assert got.tobytes() == want.tobytes()
+    if n > 3:
+        assert got[n - 2] == 0.0  # the pair (0, n - 1)
+
+
+def _median_cases(seed, count):
+    """Distances and their images: odd and even sizes, 1 and 2 included,
+    with zero distances, ties, NaN and inf mixed in."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        # Large sizes often: only there does a selection at m leave position
+        # m - 1 short of the largest ratio below m, now and then.
+        size = int(rng.choice([1, 2, 3, 4, int(rng.integers(5, 60))]
+                              + [int(rng.integers(60, 8000))] * 3))
+        orig = np.abs(rng.standard_normal(size))
+        red = orig * (1.0 + 0.3 * rng.standard_normal(size))
+        kind = case % 12  # kinds 8 to 11 stay plain
+        if kind == 1:
+            orig[rng.random(size) < 0.3] = 0.0
+        elif kind == 2:
+            orig, red = np.round(orig, 1) + 0.1, np.round(red, 1)
+        elif kind == 3:
+            red[:] = orig
+        elif kind == 4:
+            red[rng.integers(size)] = np.nan
+        elif kind == 5:
+            red[rng.integers(size)] = np.inf
+        elif kind == 6:
+            # inf / inf and inf - inf give NaNs of the other sign than np.nan.
+            orig[rng.integers(size)] = np.inf
+            red[rng.integers(size)] = np.nan
+        elif kind == 7:
+            orig[:] = 0.0
+        yield orig, red
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_median_relative_error_matches_np_median_bit_for_bit(seed):
+    for orig, red in _median_cases(seed, 1000):
+        keep = orig > 0.0
+        if not keep.any():
+            with pytest.raises(UndefinedMetricError):
+                median_relative_error(orig, red)
+            continue
+        given = (orig.copy(), red.copy())
+        with np.errstate(invalid="ignore"):
+            want = float(np.median(np.abs(red[keep] - orig[keep]) / orig[keep]))
+            got = median_relative_error(orig, red)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (orig, red)
+        assert orig.tobytes() == given[0].tobytes() and red.tobytes() == given[1].tobytes()
+
+
 class TestDistortion:
     def test_orthonormal_square_basis_is_isometric(self):
         data = cloud(40, 20, 12)
