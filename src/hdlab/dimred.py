@@ -13,10 +13,10 @@ sqrt(k/d) on average, the projection is rescaled by sqrt(d/k) so squared
 distances are unbiased and the two methods are comparable on the same
 distortion scale.
 
-Distortion compares pairwise distances, computed in row blocks by the Gram
-formula on centered rows, each block's products written in place into one
-tile; pairs that could lose accuracy to cancellation are recomputed from row
-differences (see pairwise_distances). Their median is one in-place selection.
+Distortion compares pairwise distances, computed by the Gram formula on
+centered rows in one tile per row block, built in place; pairs that could lose
+accuracy to cancellation are recomputed from row differences (see
+pairwise_distances). Their median is one selection, with np.median's value.
 """
 
 import math
@@ -212,7 +212,7 @@ def pairwise_distances(X):
         norms += np.repeat(sq[s:s + b], n - s - 1 - np.arange(b))
         d2 = gram[upper]
         d2 *= -2.0
-        d2 += norms  # the bits of norms - 2.0 * gram[upper]
+        d2 += norms  # the same bits as norms - 2.0 * gram[upper]
         close = np.flatnonzero(d2 <= _GUARD_TAU * norms)
         if close.size:
             rows, cols = np.nonzero(upper)
