@@ -126,8 +126,6 @@ def cmd_fit(args):
         # cd leaves the grid to the exact Lasso path, which needs no tolerance.
         lam, curve = cross_validate(data, grid, args.cv_folds, args.seed,
                                     solver=None if args.solver == "cd" else solve)
-        write_table(os.path.join(args.out, "fit_cv.csv"), ["lambda", "cv_mse"],
-                    [grid, curve])
         extras["lambda_star"] = lam
     elif args.lam is not None:
         lam = args.lam
@@ -150,6 +148,11 @@ def cmd_fit(args):
         extras["kkt_violation"] = kkt_violation(
             data, fit.beta_hat, penalty_derivative(pen, np.abs(fit.beta_hat)))
 
+    # Nothing is written before the final fit is accepted, so a refused fit
+    # leaves an earlier run's files in --out as they were.
+    if args.lambda_grid is not None:
+        write_table(os.path.join(args.out, "fit_cv.csv"), ["lambda", "cv_mse"],
+                    [grid, curve])
     coef_path = os.path.join(args.out, "fit_coefficients.csv")
     write_table(coef_path, ["index", "name", "coefficient"],
                 [range(data.d), [data.name_of(j) for j in range(data.d)], fit.beta_hat])

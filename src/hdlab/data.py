@@ -19,6 +19,15 @@ from .errors import (
 )
 from .report import write_table
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _require_finite(a, what):
+    """Raise ValidationError unless every entry of a is finite; the one
+    finiteness scan of a Dataset's arrays."""
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("%s contains non-finite entries" % what)
+
 
 def _as_matrix(X):
     X = np.asarray(X, dtype=np.float64)
@@ -26,8 +35,6 @@ def _as_matrix(X):
         raise ValidationError("X must be a 2-d array, got ndim=%d" % X.ndim)
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise ValidationError("X must have at least one row and one column")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("X contains non-finite entries")
     return X
 
 
@@ -38,10 +45,20 @@ class Dataset:
     Arguments
     ---------
     X : (n, d) array of finite floats.
-    y : optional (n,) response vector.
+    y : optional (n,) response vector of finite floats.
     column_names : optional tuple of d names; defaults to x1..xd on CSV output.
     transform : None, except on a standardize() output: the (x_mean, x_sd,
         y_mean) it removed.
+
+    X and y are read-only once built. Dataset(...) scans both for non-finite
+    entries, so read_csv and every CLI loader check their input in full.
+    Producers whose X is finite by construction build through _from_finite,
+    which scans y but not X: the normal draws of gen_linear, gen_iid_gaussian,
+    gen_two_class and gen_spiked (which checks its scaled columns), the
+    replicates of spurious_correlation_experiment, standardize's output when
+    every column sd is finite, and the row subsets of a checked Dataset that
+    cross_validate and rcv_variance take. A wide design is then scanned once,
+    where it enters the package, instead of again at every derived copy.
     """
 
     X: np.ndarray
@@ -49,8 +66,10 @@ class Dataset:
     column_names: tuple = None
     transform: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, scan_x=True):
         X = _as_matrix(self.X)
+        if scan_x:
+            _require_finite(X, "X")
         X.setflags(write=False)
         object.__setattr__(self, "X", X)
         if self.y is not None:
@@ -59,8 +78,7 @@ class Dataset:
                 raise ValidationError(
                     "y must be 1-d with length %d, got shape %s" % (X.shape[0], y.shape)
                 )
-            if not np.all(np.isfinite(y)):
-                raise ValidationError("y contains non-finite entries")
+            _require_finite(y, "y")
             y.setflags(write=False)
             object.__setattr__(self, "y", y)
         if self.column_names is not None:
@@ -70,6 +88,17 @@ class Dataset:
                     "column_names has %d entries for %d columns" % (len(names), X.shape[1])
                 )
             object.__setattr__(self, "column_names", names)
+
+    @classmethod
+    def _from_finite(cls, X, y=None, column_names=None):
+        """A Dataset built as Dataset(X, y, column_names) is, but without the
+        scan of X: only for an X whose entries are already known finite."""
+        out = object.__new__(cls)
+        for name, value in (("X", X), ("y", y), ("column_names", column_names),
+                            ("transform", None)):
+            object.__setattr__(out, name, value)
+        out.__post_init__(scan_x=False)
+        return out
 
     @property
     def n(self):
@@ -163,13 +192,14 @@ class TwoClassGaussianSpec:
 def gen_iid_gaussian(n, d, seed):
     """Pure-noise design: n x d independent standard normal entries."""
     rng = np.random.default_rng(seed)
-    return Dataset(rng.standard_normal((n, d)))
+    return Dataset._from_finite(rng.standard_normal((n, d)))
 
 
 def gen_two_class(spec, seed):
     """Two-class Gaussian sample; rows 0..n-1 are class 0, the rest class 1.
 
-    Returns a Dataset whose y holds the class labels (0.0 or 1.0).
+    Returns a Dataset whose y holds the class labels (0.0 or 1.0). A finite
+    mean plus a normal draw is finite, so X is not scanned.
     """
     rng = np.random.default_rng(seed)
     n = spec.n_per_class
@@ -177,14 +207,15 @@ def gen_two_class(spec, seed):
     X2 = spec.mu2 + rng.standard_normal((n, spec.d))
     X = np.vstack([X1, X2])
     labels = np.repeat([0.0, 1.0], n)
-    return Dataset(X, labels)
+    return Dataset._from_finite(X, labels)
 
 
 def gen_linear(spec, seed):
     """Draw X ~ N(0, I), then y = X beta + eps per the model spec.
 
     The endogenous couplings are added to eps in increasing column order so
-    the output depends only on (spec, seed).
+    the output depends only on (spec, seed). X is a normal draw and is not
+    scanned; y is, so an infinite beta raises ValidationError.
     """
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((spec.n, spec.d))
@@ -196,7 +227,7 @@ def gen_linear(spec, seed):
         else:
             eps = eps + w * (X[:, j] ** 2 - 1.0)
     y = X @ spec.beta_vector() + eps
-    return Dataset(X, y)
+    return Dataset._from_finite(X, y)
 
 
 def gen_spiked(n, d, spike_count=10, spike_sd=5.0, seed=0):
@@ -212,7 +243,8 @@ def gen_spiked(n, d, spike_count=10, spike_sd=5.0, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     X[:, :spike_count] *= spike_sd
-    return Dataset(X)
+    _require_finite(X[:, :spike_count], "X")  # a large spike_sd can overflow
+    return Dataset._from_finite(X)
 
 
 def standardize(data):
@@ -234,7 +266,11 @@ def standardize(data):
         raise DegenerateColumnError("column %s is constant" % data.name_of(j))
     Xc /= sd
     y_mean = None if data.y is None else float(data.y.mean())
-    out = Dataset(Xc, None if data.y is None else data.y - y_mean, data.column_names)
+    yc = None if data.y is None else data.y - y_mean
+    # A finite sd_j > 0 bounds every |Xc_ij| by about sqrt(n - 1), so Xc is
+    # finite unscanned; a non-finite sd (X's scale overflowed) takes the scan.
+    build = Dataset._from_finite if np.all(np.isfinite(sd)) else Dataset
+    out = build(Xc, yc, data.column_names)
     object.__setattr__(out, "transform", (mu, sd, y_mean))
     return out
 
@@ -266,16 +302,24 @@ def _centered(X, v):
     """(Xc, vc, squared column norms of Xc, squared norm(s) of vc) for X and
     a target v of shape (n,) or (n, m). Raises UndefinedCorrelationError for
     a constant target, else for the first constant column of X (its `column`).
+
+    Constancy is tested on the entries too: the mean of n copies of c is not
+    always c (three 0.1s), which leaves a nonzero centered norm. That mean
+    is within n eps |c| / 2 of c (summed row by row; a pairwise sum is
+    closer), so a constant column j has a centered squared norm of at most
+    n^3 eps^2 x_0j^2 / 4. Only the columns whose norm is at most 16 times
+    that, 4 n^3 eps^2 x_0j^2, or NaN, are compared with row 0; the others
+    cannot be constant.
     """
-    # Constancy is tested on the entries too: the mean of n copies of c is
-    # not always c (three 0.1s), which leaves a nonzero centered norm.
     vc = v - v.mean(axis=0)
     v_sq = vc @ vc if vc.ndim == 1 else np.einsum("ij,ij->j", vc, vc)
     if np.any((v_sq == 0.0) | np.all(v == v[0], axis=0)):
         raise UndefinedCorrelationError("target vector is constant")
     Xc = X - X.mean(axis=0)
     col_sq = np.einsum("ij,ij->j", Xc, Xc)
-    bad = np.flatnonzero((col_sq == 0.0) | np.all(X == X[0], axis=0))
+    with np.errstate(over="ignore"):  # x_0j^2 = inf leaves column j a candidate
+        near = np.flatnonzero(~(col_sq > (4.0 * X.shape[0] ** 3 * _EPS ** 2) * (X[0] * X[0])))
+    bad = near[(col_sq[near] == 0.0) | np.all(X[:, near] == X[0, near], axis=0)]
     if bad.size:
         raise UndefinedCorrelationError("column %d is constant" % bad[0], column=int(bad[0]))
     return Xc, vc, col_sq, v_sq

@@ -269,10 +269,11 @@ def rcv_variance(data, selector, seed):
     parts = (perm[:half], perm[half:])
     estimates = []
     sizes = []
+    # Both halves are row subsets of a checked Dataset, so X is not rescanned.
     for own, other in ((0, 1), (1, 0)):
         sel_idx = parts[own]
         fit_idx = parts[other]
-        sel_ds = Dataset(data.X[sel_idx], y[sel_idx])
+        sel_ds = Dataset._from_finite(data.X[sel_idx], y[sel_idx])
         support = _support_indices(selector(sel_ds), data.d, "selector returned")
         if support.size >= fit_idx.size:
             raise SelectionTooLargeError(
@@ -281,7 +282,7 @@ def rcv_variance(data, selector, seed):
             )
         # Refit only the support's columns; a Dataset needs at least one.
         cols = support if support.size else np.arange(1)
-        fit_ds = Dataset(data.X[np.ix_(fit_idx, cols)], y[fit_idx])
+        fit_ds = Dataset._from_finite(data.X[np.ix_(fit_idx, cols)], y[fit_idx])
         estimates.append(residual_variance(fit_ds, np.arange(support.size)).sigma2_hat)
         sizes.append(int(support.size))
     return VarianceEstimate(0.5 * (estimates[0] + estimates[1]), "rcv", max(sizes))

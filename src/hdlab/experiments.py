@@ -181,7 +181,7 @@ def spurious_correlation_experiment(seed=0, n=60, d_list=(800, 6400), reps=200,
         R_all = R_hats[i]
         for rep in range(reps):
             rng = np.random.default_rng([seed, d, rep])
-            rep_out = max_multiple_corr(Dataset(rng.standard_normal((n, d))),
+            rep_out = max_multiple_corr(Dataset._from_finite(rng.standard_normal((n, d))),
                                         subset_size, method)
             r_all[rep] = rep_out.r_hat
             R_all[rep] = rep_out.R_hat

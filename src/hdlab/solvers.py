@@ -820,8 +820,9 @@ def cross_validate(data, lambda_grid, folds, seed, solver=None):
     sq_err = np.zeros(grid.size)
     for i, test_idx in enumerate(chunks):
         train_idx = np.concatenate([chunks[k] for k in range(folds) if k != i])
-        try:
-            train = standardize(Dataset(data.X[train_idx], y[train_idx], data.column_names))
+        try:  # a row subset of a checked Dataset: X is not rescanned
+            train = standardize(Dataset._from_finite(data.X[train_idx], y[train_idx],
+                                                     data.column_names))
         except DegenerateColumnError as exc:
             raise ConfigurationError("%s within a training fold" % exc) from None
         x_mean, x_sd, y_mean = train.transform

@@ -218,6 +218,27 @@ class TestFit:
         assert "did not converge" in capsys.readouterr().err
         assert not (out / "fit_coefficients.csv").exists()
 
+    def test_refused_grid_fit_leaves_an_earlier_run_untouched(self, tmp_path, csv_data,
+                                                              monkeypatch, capsys):
+        # fit_cv.csv is written only after the final fit is accepted, so the
+        # directory never pairs a new CV curve with an earlier run's fit.
+        out = tmp_path / "o"
+        assert main(["fit", "--data", csv_data[0], "--lambda", "0.1", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["fit_coefficients.csv", "fit_run.txt"]
+        real = cli.coord_descent_l1
+
+        def unconverged(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            fit.converged = False
+            return fit
+
+        monkeypatch.setattr(cli, "coord_descent_l1", unconverged)
+        assert main(["fit", "--data", csv_data[0], "--lambda-grid", "0.5,0.1",
+                     "--out", str(out)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_ista_rejects_oversized_step(self, tmp_path, csv_data):
         # --step 0 is refused too, not read as "no step given".
         path, _ = csv_data

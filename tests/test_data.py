@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hdlab.data as data_module
 from hdlab import (
     Dataset,
     DegenerateColumnError,
@@ -8,17 +9,41 @@ from hdlab import (
     TwoClassGaussianSpec,
     UndefinedCorrelationError,
     ValidationError,
+    cross_validate,
     gen_iid_gaussian,
     gen_linear,
     gen_spiked,
     gen_two_class,
+    greedy_spurious_support,
     is_standardized,
+    rcv_variance,
     read_csv,
     sample_corr,
+    sis_select,
     standardize,
     write_csv,
 )
 from hdlab.data import _centered, _corr_columns
+
+
+def _reference_constant_columns(X):
+    """The constant-column test _centered made before it filtered by the
+    centered norm: every column compared with row 0."""
+    Xc = X - X.mean(axis=0)
+    col_sq = np.einsum("ij,ij->j", Xc, Xc)
+    return np.flatnonzero((col_sq == 0.0) | np.all(X == X[0], axis=0))
+
+
+def _reference_standardize(data):
+    """standardize as it was before its output skipped the finiteness scan."""
+    mu = data.X.mean(axis=0)
+    Xc = data.X - mu
+    sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / (data.n - 1))
+    bad = np.flatnonzero(sd == 0.0)
+    if bad.size:
+        raise DegenerateColumnError("column %s is constant" % data.name_of(int(bad[0])))
+    Xc /= sd
+    return Dataset(Xc), (mu, sd)
 
 
 class TestDataset:
@@ -53,6 +78,24 @@ class TestDataset:
     def test_require_y(self):
         with pytest.raises(ValidationError):
             Dataset(np.ones((2, 2))).require_y()
+
+    def test_from_finite_builds_the_same_dataset(self):
+        X = np.random.default_rng(0).standard_normal((4, 3))
+        y = np.arange(4.0)
+        ds = Dataset._from_finite(X.copy(), y.copy(), ["a", "b", "c"])
+        assert np.array_equal(ds.X, X) and np.array_equal(ds.y, y)
+        assert ds == Dataset(ds.X, ds.y, ("a", "b", "c"))
+        assert ds.column_names == ("a", "b", "c") and ds.transform is None
+        assert not ds.X.flags.writeable and not ds.y.flags.writeable
+        # Only the scan of X is skipped; shapes, names and y are checked.
+        with pytest.raises(ValidationError):
+            Dataset._from_finite(X.copy(), np.array([0.0, np.nan, 1.0, 2.0]))
+        with pytest.raises(ValidationError):
+            Dataset._from_finite(X.copy(), np.ones(3))
+        with pytest.raises(ValidationError):
+            Dataset._from_finite(X[0].copy())
+        with pytest.raises(ValidationError):
+            Dataset._from_finite(X.copy(), column_names=("a",))
 
 
 class TestSpecs:
@@ -274,6 +317,136 @@ class TestCorrColumns:
             sample_corr(x, np.array([1.0, 2.0, 4.0]))
         with pytest.raises(UndefinedCorrelationError):
             sample_corr(np.array([1.0, 2.0, 4.0]), x)
+
+
+class TestConstantFilter:
+    """_centered compares with row 0 only the columns whose centered norm
+    is small enough for a constant; it must flag exactly the columns the
+    full comparison flags."""
+
+    @staticmethod
+    def _columns(rng, n):
+        """Constant, near-constant and ordinary columns of magnitudes from
+        1e-300 to 1e300, shuffled."""
+        cols = []
+        for e in (-300, -200, -170, -160, -150, -100, -20, 0, 20, 100, 150, 200, 300):
+            c = rng.uniform(1.0, 10.0) * 10.0 ** e * rng.choice([-1.0, 1.0])
+            const = np.full(n, c)
+            one_ulp = const.copy()
+            one_ulp[rng.integers(n)] = np.nextafter(c, 2 * c)
+            cols += [const, one_ulp, c * (1.0 + 1e-14 * rng.standard_normal(n)),
+                     c * (1.0 + rng.standard_normal(n))]
+        # Three 0.1s and the like: constants whose mean rounds away.
+        cols += [np.full(n, 0.1), np.full(n, 0.7), np.full(n, 1e-3 / 3), np.zeros(n)]
+        # Centered squares that underflow: a zero norm counts as constant.
+        cols += [1e-170 * (1.0 + 1e-10 * rng.standard_normal(n))]
+        cols = np.column_stack(cols)
+        return cols[:, rng.permutation(cols.shape[1])]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 10, 31, 64, 100, 257, 1000])
+    def test_matches_the_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        for _ in range(4):
+            X = self._columns(rng, n)
+            want = _reference_constant_columns(X)
+            assert want.size  # every case holds constant columns
+            with pytest.raises(UndefinedCorrelationError) as exc:
+                _centered(X, v)
+            assert exc.value.column == want[0]
+            # Each column alone: flagged exactly when the full test flags it.
+            for j in range(X.shape[1]):
+                col = np.ascontiguousarray(X[:, j:j + 1])
+                if j in want:
+                    with pytest.raises(UndefinedCorrelationError) as exc:
+                        _centered(col, v)
+                    assert exc.value.column == 0
+                else:
+                    _centered(col, v)
+
+    def test_non_constant_columns_pass(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 50, 1000):
+            X = rng.standard_normal((n, 40)) * 10.0 ** rng.integers(-150, 150, 40)
+            assert _reference_constant_columns(X).size == 0
+            Xc = _centered(X, rng.standard_normal(n))[0]
+            assert np.array_equal(Xc, X - X.mean(axis=0))
+
+
+class TestFiniteScan:
+    """A skipped scan of X never admits a non-finite value."""
+
+    def test_gen_linear_checks_y(self):
+        for beta in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="y contains"):
+                gen_linear(LinearModelSpec(n=20, d=5, beta={2: beta}), 0)
+        with pytest.raises(ValidationError):
+            gen_linear(LinearModelSpec(n=20, d=5, beta={}, endogenous_set={1: np.inf}), 0)
+        # A finite coupling whose noise overflows is caught by y's check.
+        spec = LinearModelSpec(n=200, d=5, beta={}, endogenous_set={1: 1e308})
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="y contains"):
+            gen_linear(spec, 0)
+
+    def test_gen_spiked_checks_its_scaled_columns(self):
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="X contains"):
+            gen_spiked(50, 8, spike_count=3, spike_sd=1e308, seed=0)
+        ds = gen_spiked(50, 8, spike_count=3, spike_sd=1e300, seed=0)
+        assert np.all(np.isfinite(ds.X)) and not ds.X.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_standardize_near_the_overflow_threshold(self, seed):
+        big = np.finfo(np.float64).max
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        cases = [
+            big * rng.uniform(-1.0, 1.0, (n, 3)),  # centering can overflow
+            np.full((n, 2), big * 0.9) - rng.uniform(0.0, 1e300, (n, 2)),  # the sum can
+            rng.choice([-1.0, 1.0], (n, 2)) * 1e200,  # squares overflow: sd = inf
+            np.column_stack([rng.standard_normal(n), big * rng.uniform(0.5, 1.0, n)]),
+            np.column_stack([rng.standard_normal(n), 1e-160 * rng.standard_normal(n)]),
+        ]
+        for X in cases:
+            with np.errstate(all="ignore"):
+                try:
+                    want, (mu, sd) = _reference_standardize(Dataset(X))
+                except (ValidationError, DegenerateColumnError) as exc:
+                    with pytest.raises(type(exc), match=str(exc)):
+                        standardize(Dataset(X))
+                    continue
+                got = standardize(Dataset(X))
+            assert np.array_equal(got.X, want.X)
+            assert np.array_equal(got.transform[0], mu) and np.array_equal(got.transform[1], sd)
+            assert np.all(np.isfinite(got.X)) and not got.X.flags.writeable
+
+    def test_a_wide_design_is_scanned_where_it_is_drawn_only(self, monkeypatch):
+        # The screen_fit pipeline at 400 x 5000: the draw, standardize, CV on
+        # the screened columns and RCV on all of them. Only gen_linear's y and
+        # the hand-built screened Dataset are scanned; no scan covers 1e6 or
+        # more entries (the full comparison made 4), and no fold's X is.
+        scans = []
+        stage = ["gen_linear"]
+        real = data_module._require_finite
+
+        def spy(a, what):
+            scans.append((stage[0], what, a.size))
+            return real(a, what)
+
+        monkeypatch.setattr(data_module, "_require_finite", spy)
+        spec = LinearModelSpec(n=400, d=5000, beta={0: 3.0, 1: -2.5, 2: 2.0}, noise_sd=1.0)
+        raw = gen_linear(spec, 0)
+        stage[0] = "standardize"
+        data = standardize(raw)
+        stage[0] = "screen"
+        keep = sis_select(data).survivors
+        sub = Dataset(data.X[:, keep], data.y)
+        stage[0] = "cross_validate"
+        cross_validate(sub, np.geomspace(0.5, 0.05, 5), 5, 0)
+        stage[0] = "rcv_variance"
+        rcv_variance(data, lambda ds: greedy_spurious_support(ds, 6), 0)
+        assert max(size for _, _, size in scans) < 10 ** 6
+        assert {s for s, _, _ in scans} == {"gen_linear", "standardize", "screen",
+                                             "cross_validate", "rcv_variance"}
+        assert {w for s, w, _ in scans if s != "screen"} == {"y"}
 
 
 class TestCsv:
