@@ -146,9 +146,11 @@ class LinearModelSpec:
     def __post_init__(self):
         if self.n < 2 or self.d < 1:
             raise ValidationError("need n >= 2 and d >= 1")
-        for j in self.beta:
+        for j, b in self.beta.items():
             if not 0 <= int(j) < self.d:
                 raise ValidationError("beta index %r outside [0, %d)" % (j, self.d))
+            if not np.isfinite(b):
+                raise ValidationError("beta value at index %r must be finite" % j)
         for j, w in self.endogenous_set.items():
             if not 0 <= int(j) < self.d:
                 raise ValidationError("endogenous index %r outside [0, %d)" % (j, self.d))
@@ -335,7 +337,8 @@ def _corr_columns(centered):
 def sample_corr(x, y):
     """Pearson correlation of two vectors, clipped into [-1, 1].
 
-    Raises UndefinedCorrelationError when either vector is constant.
+    Raises ValidationError when either vector holds a non-finite entry, and
+    UndefinedCorrelationError when either vector is constant.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -343,6 +346,8 @@ def sample_corr(x, y):
         raise ValidationError("inputs must be 1-d vectors of equal length")
     if x.shape[0] < 2:
         raise ValidationError("correlation needs at least 2 observations")
+    _require_finite(x, "x")
+    _require_finite(y, "y")
     return float(_corr_columns(_centered(x[:, None], y))[0])
 
 

@@ -288,15 +288,35 @@ def rcv_variance(data, selector, seed):
     return VarianceEstimate(0.5 * (estimates[0] + estimates[1]), "rcv", max(sizes))
 
 
+def _tie_runs(s, starts=0):
+    """(first, end) of the run of equal values holding each entry of s: the
+    counts of entries < and <= it, which searchsorted's "left" and "right"
+    sides return. s is sorted, or sorted within segments that begin at the
+    indices `starts`. -0.0 ties with 0.0, and the NaNs, which sort last,
+    form one run, as in searchsorted."""
+    new = np.empty(s.size + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new[1:-1])
+    new[1:-1] &= s[:-1] == s[:-1]
+    new[starts] = True
+    new[-1] = True
+    bounds = np.flatnonzero(new)
+    lengths = np.diff(bounds)
+    return np.repeat(bounds[:-1], lengths), np.repeat(bounds[1:], lengths)
+
+
 def ks_distance(a, b):
-    """Two-sample Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)|."""
+    """Two-sample Kolmogorov-Smirnov distance sup_x |F_a(x) - F_b(x)|.
+
+    The sup is taken over the points of both samples. Each sample's count
+    of values <= its own points is the end of their tie run; only the other
+    sample's points are searched.
+    """
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
         raise ValidationError("ks_distance needs nonempty samples")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
+    fa = np.concatenate([_tie_runs(a)[1], np.searchsorted(a, b, side="right")]) / a.size
+    fb = np.concatenate([np.searchsorted(b, a, side="right"), _tie_runs(b)[1]]) / b.size
     return float(np.max(np.abs(fa - fb)))
 
 
@@ -318,24 +338,26 @@ def endogeneity_diagnostic(data, fit, permutations, seed):
     copies no rows. tail_statistic is the KS distance between raw and pooled
     permuted correlations; each entry of null_tail_statistics is one
     permutation's against the others, so `flagged()` compares the statistic
-    to its own null.
+    to its own null. One sort of the pool serves the whole null, and
+    ks_distance is called once, on the sorted pool.
     """
     resid = _residuals(data, fit)
     if not is_int(permutations) or permutations < 2:
         raise ConfigurationError("permutations must be an integer >= 2")
     raw = _corr_columns(_centered(data.X, resid))
     B = int(permutations)
+    rows = [np.random.default_rng([seed, b]).permutation(data.n) for b in range(B)]
     shuffled = np.empty((data.n, B))
-    for b in range(B):
-        shuffled[np.random.default_rng([seed, b]).permutation(data.n), b] = resid
+    shuffled[rows, np.arange(B)[:, None]] = resid
     perm_corr = _corr_columns(_centered(data.X, shuffled)).T
-    pooled = perm_corr.ravel()
-    tail = ks_distance(raw, pooled)
-    return EndogeneityReport(raw, pooled, tail, B, _leave_one_out_ks(perm_corr))
+    null, pool = _leave_one_out_ks(perm_corr)
+    tail = ks_distance(raw, pool)
+    return EndogeneityReport(raw, perm_corr.ravel(), tail, B, null)
 
 
 def _leave_one_out_ks(samples):
-    """ks_distance(samples[b], all other rows pooled), for every row b.
+    """(ks_distance(samples[b], all other rows pooled) for every row b, the
+    sorted pool).
 
     Both ECDFs jump only at pooled values, so each distance is a max over
     the pooled sample x of |F_b(x) - F_rest(x)|, where count_all(x) and
@@ -347,28 +369,27 @@ def _leave_one_out_ks(samples):
     thus evaluated at its d own values v, with counts of values <= v, and
     at the d pooled values just below them, with counts of values < v.
 
-    count_all comes from one sort of the pool. An own value u is <= v
-    exactly when count_all(u) <= count_all(v), and < v exactly when
-    count_all(u) <= count_all(v-), so count_b is a searchsorted over the
-    pooled counts of the own values. The integer counts and divisors are
-    those ks_distance uses, so the result is bit-for-bit the same as
-    calling it B times.
+    Both counts are read from ranks, not searched: one argsort of the
+    row-sorted values places each own value in the pool, and the tie run
+    there gives its pooled counts; the tie runs of each sorted row give its
+    own counts. They are the integers that searchsorted returns, and the
+    divisors are those of ks_distance, so the result is bit-for-bit the
+    same as calling it B times.
     """
     B, d = samples.shape
-    own = np.sort(samples, axis=1)
-    pool = np.sort(own, axis=None)
-    # Pooled counts at each own value v: of values <= v, then of values < v.
-    count_all = np.concatenate([np.searchsorted(pool, own, side="right"),
-                                np.searchsorted(pool, own, side="left")], axis=1)
-    # Row b's positions are offset by b * (pool.size + 1), which keeps the
-    # rows apart, so one searchsorted counts the own values of every row.
-    offset = (pool.size + 1) * np.arange(B)[:, None]
-    keys = (count_all[:, :d] + offset).ravel()
-    count_b = np.searchsorted(keys, count_all + offset, side="right")
-    count_b -= d * np.arange(B)[:, None]
+    own = np.sort(samples, axis=1).ravel()
+    order = np.argsort(own)
+    pool = own[order]
+    lo, hi = _tie_runs(pool)
+    count_all = np.empty((2, own.size), dtype=np.intp)
+    count_all[0, order] = lo
+    count_all[1, order] = hi
+    count_b = np.stack(_tie_runs(own, np.arange(0, own.size, d)))
+    count_b -= np.repeat(d * np.arange(B), d)
     gaps = count_b / d
     gaps -= (count_all - count_b) / ((B - 1) * d)
-    return np.abs(gaps, out=gaps).max(axis=1)
+    gaps = np.abs(gaps, out=gaps).reshape(2, B, d)
+    return gaps.max(axis=(0, 2)), pool
 
 
 def overid_check(data, fit, selected):

@@ -54,9 +54,10 @@ class Projection:
 
 def _fix_signs(V):
     # Deterministic orientation: the largest-magnitude entry of each column
-    # (first occurrence) is made positive.
+    # (first occurrence) is made positive. Scaling each column by +-1.0 is
+    # exact and keeps -0.0, and unlike a masked update gathers no columns.
     top = np.argmax(np.abs(V), axis=0)
-    V[:, V[top, np.arange(V.shape[1])] < 0] *= -1.0
+    V *= np.where(V[top, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return V
 
 

@@ -145,13 +145,23 @@ def kkt_violation(data, beta, weights):
     weight gives inf, never NaN, so that `viol <= bound` fails on it.
     """
     beta = np.asarray(beta, dtype=np.float64)
+    return float(_kkt_rows(data, beta[None, :], weights)[0])
+
+
+def _kkt_rows(data, betas, weights):
+    """kkt_violation() of each row of the (m, d) betas, with weights that
+    broadcast against them: one X b and one X'r per row, so that each g has
+    the bits of a single call, then one pass over the stack."""
+    y = data.require_y()
+    g = np.empty(betas.shape)
+    for i, beta in enumerate(betas):
+        g[i] = data.X.T @ (y - data.X @ beta) / data.n
     w = np.asarray(weights, dtype=np.float64)
-    g = data.X.T @ (data.require_y() - data.X @ beta) / data.n
     with np.errstate(invalid="ignore"):
-        viol = np.where(beta != 0, np.abs(g - np.sign(beta) * w), np.abs(g) - w)
-    if not np.isfinite(viol).all():
-        return math.inf
-    return float(np.max(viol, initial=0.0))
+        viol = np.where(betas != 0, np.abs(g - np.sign(betas) * w), np.abs(g) - w)
+    out = np.max(viol, axis=1, initial=0.0)
+    out[~np.isfinite(viol).all(axis=1)] = math.inf
+    return out
 
 
 def largest_gram_eigenvalue(X, max_iter=500, tol=1e-12):
@@ -764,10 +774,10 @@ def lasso_path(data, lambda_grid):
         raise SolverError("lasso_path: the homotopy stopped at a non-finite point "
                           "above lambda=%.6g" % levels[count])
     viol = np.empty(levels.size)
+    viol[:count] = _kkt_rows(data, betas[:count], levels[:count, None])
     polished = 0
     for i, lam in enumerate(levels):
         if i < count:
-            viol[i] = kkt_violation(data, betas[i], lam)
             # A non-finite point (viol inf) is no start for coordinate
             # descent; it is left for the check below to refuse.
             if viol[i] <= bound or viol[i] == math.inf:

@@ -280,6 +280,17 @@ class TestSampleCorr:
         with pytest.raises(ValidationError):
             sample_corr(np.ones(1), np.ones(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_its_argument(self, bad):
+        # NaN used to come back as a NaN correlation, and inf as NaN after a
+        # RuntimeWarning.
+        good = np.array([1.0, 2.0, 4.0, 3.0])
+        other = np.array([1.0, bad, 3.0, 4.0])
+        with pytest.raises(ValidationError, match="x contains non-finite"):
+            sample_corr(other, good)
+        with pytest.raises(ValidationError, match="y contains non-finite"):
+            sample_corr(good, other)
+
 
 class TestCorrColumns:
     """_corr_columns of a _centered tuple is the one correlation routine."""
@@ -377,9 +388,10 @@ class TestFiniteScan:
     """A skipped scan of X never admits a non-finite value."""
 
     def test_gen_linear_checks_y(self):
+        # A non-finite beta is refused by the spec, which names its index.
         for beta in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValidationError, match="y contains"):
-                gen_linear(LinearModelSpec(n=20, d=5, beta={2: beta}), 0)
+            with pytest.raises(ValidationError, match="beta value at index 2"):
+                LinearModelSpec(n=20, d=5, beta={2: beta})
         with pytest.raises(ValidationError):
             gen_linear(LinearModelSpec(n=20, d=5, beta={}, endogenous_set={1: np.inf}), 0)
         # A finite coupling whose noise overflows is caught by y's check.

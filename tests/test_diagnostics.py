@@ -415,6 +415,84 @@ class TestKsDistance:
             ks_distance([], [1.0])
 
 
+def _reference_ks_distance(a, b):
+    """ks_distance by two binary searches over the pooled grid."""
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+def _reference_leave_one_out_ks(samples):
+    """_leave_one_out_ks's null by binary searches: the pooled counts by
+    searchsorted over the sorted pool, the own counts by one searchsorted
+    over the pooled counts of every row, offset to keep the rows apart."""
+    B, d = samples.shape
+    own = np.sort(samples, axis=1)
+    pool = np.sort(own, axis=None)
+    count_all = np.concatenate([np.searchsorted(pool, own, side="right"),
+                                np.searchsorted(pool, own, side="left")], axis=1)
+    offset = (pool.size + 1) * np.arange(B)[:, None]
+    keys = (count_all[:, :d] + offset).ravel()
+    count_b = np.searchsorted(keys, count_all + offset, side="right")
+    count_b -= d * np.arange(B)[:, None]
+    gaps = count_b / d
+    gaps -= (count_all - count_b) / ((B - 1) * d)
+    return np.abs(gaps, out=gaps).max(axis=1)
+
+
+def _tied_samples(rng, B, d):
+    """Values rounded to 1-3 decimals, so that they tie within and across
+    rows, with some entries set to 0.0, -0.0, NaN, inf or -inf."""
+    samples = np.round(rng.standard_normal((B, d)) * 0.3, int(rng.integers(1, 4)))
+    u = rng.random((B, d))
+    rate = rng.choice([0.0, 0.02, 0.2])
+    for k, value in enumerate((0.0, -0.0, np.nan, np.inf, -np.inf)):
+        samples[(u >= k * rate) & (u < (k + 1) * rate)] = value
+    return samples
+
+
+class TestKsByRanks:
+    """ks_distance and _leave_one_out_ks count by tie runs and ranks; the
+    binary-search forms above are the reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_binary_searches(self, seed):
+        rng = np.random.default_rng(2400 + seed)
+        for _ in range(250):
+            B = int(rng.integers(2, 121))
+            d = int(rng.integers(1, min(250, 40_000 // B) + 1))
+            samples = _tied_samples(rng, B, d)
+            null, pool = _leave_one_out_ks(samples)
+            assert null.tobytes() == _reference_leave_one_out_ks(samples).tobytes()
+            assert np.array_equal(pool, np.sort(samples, axis=None), equal_nan=True)
+            a = samples[0, :int(rng.integers(1, d + 1))]
+            for b in (pool, samples[1:], samples[0, ::-1]):
+                assert (np.float64(ks_distance(a, b)).tobytes()
+                        == np.float64(_reference_ks_distance(a, b)).tobytes())
+
+    def test_endogeneity_null_calls_ks_distance_once(self, monkeypatch):
+        calls = []
+        traced = diagnostics.ks_distance
+
+        def spy(a, b):
+            calls.append(np.size(b))
+            return traced(a, b)
+
+        monkeypatch.setattr(diagnostics, "ks_distance", spy)
+        rng = np.random.default_rng(2410)
+        X = np.round(rng.standard_normal((30, 12)), 1)
+        resid = rng.standard_normal(30)
+        rep = endogeneity_diagnostic(Dataset(X), resid, 9, seed=[1, 2])
+        assert calls == [9 * 12]
+        perm_corr = rep.permuted_correlations.reshape(9, 12)
+        assert rep.tail_statistic == _reference_ks_distance(rep.raw_correlations, perm_corr)
+        assert (rep.null_tail_statistics.tobytes()
+                == _reference_leave_one_out_ks(perm_corr).tobytes())
+
+
 def planted_endogeneity_data(seed, n=400, d=200, coupled=30, w=0.8):
     beta = {0: 2.0, 1: 2.0, 2: 2.0}
     endo = {j: w for j in range(3, 3 + coupled)}
@@ -468,7 +546,7 @@ class TestEndogeneityDiagnostic:
         samples = np.round(np.random.default_rng(B + d).standard_normal((B, d)) * 0.3,
                            decimals)
         want = [ks_distance(samples[b], np.delete(samples, b, axis=0)) for b in range(B)]
-        assert np.array_equal(_leave_one_out_ks(samples), want)
+        assert np.array_equal(_leave_one_out_ks(samples)[0], want)
 
     def test_permuted_correlations_match_row_permuted_designs(self):
         # The null correlates X[rows_b] with the residuals for each

@@ -179,6 +179,24 @@ class TestPca:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(got[:, :2], [[2, 2], [-2, -2]] + [[0, 0]] * 7)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fix_signs_matches_the_masked_update_bit_for_bit(self, seed):
+        # The masked form negated the selected columns in place; the scaling
+        # by +-1.0 must give the same bytes, -0.0 and zero columns included.
+        def masked(V):
+            top = np.argmax(np.abs(V), axis=0)
+            V[:, V[top, np.arange(V.shape[1])] < 0] *= -1.0
+            return V
+
+        rng = np.random.default_rng(4300 + seed)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            V = rng.integers(-2, 3, size=(n, k)) * rng.choice([1e-300, 0.5, 1e300])
+            V[rng.random((n, k)) < 0.3] = -0.0
+            V[:, rng.random(k) < 0.1] = 0.0
+            got = _fix_signs(V.copy())
+            assert got.tobytes() == masked(V.copy()).tobytes()
+
     def test_apply_validates_width(self):
         proj = pca(cloud(7, 30, 6), 2)
         with pytest.raises(ValidationError):

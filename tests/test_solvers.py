@@ -188,6 +188,35 @@ class TestKktViolation:
         assert kkt_violation(data, beta, w) <= 1e-8
 
 
+    def test_rows_match_single_calls_bit_for_bit(self):
+        # _kkt_rows certifies a stack of rows in one pass; each entry must be
+        # the single-row certificate of the loop form, inf for non-finite rows.
+        def single(data, beta, w):
+            g = data.X.T @ (data.y - data.X @ beta) / data.n
+            with np.errstate(invalid="ignore"):
+                viol = np.where(beta != 0, np.abs(g - np.sign(beta) * w), np.abs(g) - w)
+            if not np.isfinite(viol).all():
+                return math.inf
+            return float(np.max(viol, initial=0.0))
+
+        data = sparse_problem(24)
+        rng = np.random.default_rng(24)
+        betas = np.where(rng.random((12, data.d)) < 0.5, 0.0,
+                         rng.standard_normal((12, data.d)))
+        betas[0] = 0.0
+        betas[3, 1] = np.nan
+        lams = rng.uniform(0.05, 0.5, 12)
+        lams[5], lams[7] = np.inf, np.nan
+        vector = rng.uniform(0.05, 0.5, data.d)
+        for weights, per_row in ((lams[:, None], lams), (vector, [vector] * 12)):
+            got = solvers._kkt_rows(data, betas, weights)
+            want = [single(data, b, w) for b, w in zip(betas, per_row)]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert got[3] == math.inf and np.all(np.isfinite(got[8:]))
+            assert [kkt_violation(data, b, w) for b, w in zip(betas, per_row)] == want
+        assert list(solvers._kkt_rows(data, betas, lams[:, None])[[5, 7]]) == [math.inf] * 2
+
+
 class TestGramEigenvalue:
     def test_matches_dense_eigensolver(self):
         for seed, (n, d) in [(0, (40, 12)), (1, (12, 40)), (2, (30, 30))]:
@@ -1042,13 +1071,15 @@ class TestLassoPath:
         data, lam_max = lasso_fold_problem(11)
         grid = np.geomspace(lam_max, 0.01 * lam_max, 20)
         calls = []
-        real = solvers.kkt_violation
+        real = solvers._kkt_rows
 
-        def spy(*args):
-            calls.append(args[2])
-            return real(*args)
+        # Every certificate, one row or a stack of rows, goes through
+        # _kkt_rows, with one weight per row here.
+        def spy(data, betas, weights):
+            calls.extend(np.broadcast_to(weights, (len(betas), 1))[:, 0])
+            return real(data, betas, weights)
 
-        monkeypatch.setattr(solvers, "kkt_violation", spy)
+        monkeypatch.setattr(solvers, "_kkt_rows", spy)
         path = lasso_path(data, np.concatenate([grid, grid[::4]]))
         assert path.polished == 0
         assert sorted(calls, reverse=True) == list(grid)
