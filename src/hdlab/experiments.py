@@ -115,8 +115,7 @@ def noise_accumulation_experiment(m_list=(2, 40, 200, 1000), n_per_class=100, d=
         else:
             cols = np.sort(_t_stat_order(data.X, labels)[:m])
         Xm = data.X[:, cols]
-        proj = pca(Dataset(Xm), 2)
-        scores = (Xm - Xm.mean(axis=0)) @ proj.basis
+        scores = pca(Dataset(Xm), 2).scores
         sep_m = _separation(Xm, labels)
         sep_2d = _separation(scores, labels)
         seps.append(sep_m)
@@ -271,7 +270,7 @@ def projection_error_experiment(d_list=(100, 500, 2500), k_list=(10, 25, 50, 100
         if not usable:
             continue
         # The top-k directions are the first k of the top max(usable).
-        scores = (data.X - data.X.mean(axis=0)) @ pca(data, max(usable)).basis
+        scores = pca(data, max(usable)).scores
         series = curves.setdefault(d, {"pca": ([], []), "rp": ([], [])})
         for k in usable:
             red = pairwise_distances(scores[:, :k])

@@ -151,11 +151,13 @@ def kkt_violation(data, beta, weights):
 def _kkt_rows(data, betas, weights):
     """kkt_violation() of each row of the (m, d) betas, with weights that
     broadcast against them: one X b and one X'r per row, so that each g has
-    the bits of a single call, then one pass over the stack."""
+    the bits of a single call, then one pass over the stack. A row with a
+    non-finite entry reads inf without forming X b, where inf - inf would
+    raise a floating-point warning."""
     y = data.require_y()
-    g = np.empty(betas.shape)
-    for i, beta in enumerate(betas):
-        g[i] = data.X.T @ (y - data.X @ beta) / data.n
+    g = np.full(betas.shape, math.inf)
+    for i in np.flatnonzero(np.isfinite(betas).all(axis=1)):
+        g[i] = data.X.T @ (y - data.X @ betas[i]) / data.n
     w = np.asarray(weights, dtype=np.float64)
     with np.errstate(invalid="ignore"):
         viol = np.where(betas != 0, np.abs(g - np.sign(betas) * w), np.abs(g) - w)

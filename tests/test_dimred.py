@@ -18,7 +18,13 @@ from hdlab import (
     timing_trend,
 )
 from hdlab import dimred
-from hdlab.dimred import _BLOCK_ROWS, _covariance_pca, _fix_signs, median_relative_error
+from hdlab.dimred import (
+    _BLOCK_ROWS,
+    _column_norms,
+    _covariance_pca,
+    _fix_signs,
+    median_relative_error,
+)
 
 
 def cloud(seed, n, d, scales=None):
@@ -100,10 +106,17 @@ class TestPca:
         # timing_trend times this route; it must give the same basis.
         assert np.max(np.abs(_covariance_pca(data, k).basis - proj.basis)) < 1e-10
 
+    @staticmethod
+    def centered_product(data, proj):
+        # The scores as the experiments computed them from the basis.
+        return (data.X - data.X.mean(axis=0)) @ proj.basis
+
     def test_narrow_data_is_the_covariance_route(self):
         for n, d, k in ((100, 10, 3), (50, 50, 50), (400, 100, 100)):
             data = cloud(30 + d, n, d)
-            assert np.array_equal(pca(data, k).basis, _covariance_pca(data, k).basis)
+            proj = pca(data, k)
+            assert np.array_equal(proj.basis, _covariance_pca(data, k).basis)
+            assert proj.scores.tobytes() == self.centered_product(data, proj).tobytes()
 
     @staticmethod
     def certified_routes(monkeypatch):
@@ -139,6 +152,7 @@ class TestPca:
         proj = pca(data, 30)
         assert passed == [False]
         self.assert_matches_svd(data, proj, 30)
+        assert proj.scores.tobytes() == self.centered_product(data, proj).tobytes()
         Xc = data.X - data.X.mean(axis=0)
         _, _, vt = np.linalg.svd(Xc, full_matrices=False)
         for j in range(29):
@@ -154,6 +168,7 @@ class TestPca:
         proj = pca(data, k)
         assert passed == [False]
         self.assert_matches_svd(data, proj, k)
+        assert proj.scores.tobytes() == self.centered_product(data, proj).tobytes()
 
     def test_wide_well_conditioned_takes_the_snapshot_basis(self, monkeypatch):
         passed = self.certified_routes(monkeypatch)
@@ -161,6 +176,25 @@ class TestPca:
         proj = pca(data, 25)
         assert passed == [True]
         self.assert_matches_svd(data, proj, 25)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_snapshot_scores_match_the_centered_product(self, seed, monkeypatch):
+        # Read off the n x n Gram matrix, the scores differ from Xc @ V by
+        # rounding only: 1e-10 relative per column, far above the ~1e-13
+        # seen on such designs.
+        passed = self.certified_routes(monkeypatch)
+        rng = np.random.default_rng(4400 + seed)
+        for _ in range(10):
+            n = int(rng.integers(5, 80))
+            d = int(rng.integers(n + 1, 400))
+            data = cloud(int(rng.integers(2**32)), n, d, scales=10.0 ** rng.uniform(0, 4, d))
+            k = int(rng.integers(1, n))
+            proj = pca(data, k)
+            want = self.centered_product(data, proj)
+            err = np.linalg.norm(proj.scores - want, axis=0)
+            assert np.all(err <= 1e-10 * np.linalg.norm(want, axis=0))
+            assert proj.scores.shape == (n, k)
+        assert passed.count(True) >= 5  # most designs take the snapshot basis
 
     def test_fix_signs_matches_a_column_loop(self):
         rng = np.random.default_rng(43)
@@ -174,15 +208,18 @@ class TestPca:
             i = int(np.argmax(np.abs(want[:, j])))
             if want[i, j] < 0:
                 want[:, j] = -want[:, j]
-        got = _fix_signs(V.copy())
+        got = V.copy()
+        signs = _fix_signs(got)
         assert np.array_equal(got, want)
+        assert np.array_equal(got, V * signs)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert np.array_equal(got[:, :2], [[2, 2], [-2, -2]] + [[0, 0]] * 7)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fix_signs_matches_the_masked_update_bit_for_bit(self, seed):
         # The masked form negated the selected columns in place; the scaling
-        # by +-1.0 must give the same bytes, -0.0 and zero columns included.
+        # by +-1.0 must give the same bytes, -0.0, zero columns, NaN columns
+        # and +-inf ties included.
         def masked(V):
             top = np.argmax(np.abs(V), axis=0)
             V[:, V[top, np.arange(V.shape[1])] < 0] *= -1.0
@@ -194,8 +231,13 @@ class TestPca:
             V = rng.integers(-2, 3, size=(n, k)) * rng.choice([1e-300, 0.5, 1e300])
             V[rng.random((n, k)) < 0.3] = -0.0
             V[:, rng.random(k) < 0.1] = 0.0
-            got = _fix_signs(V.copy())
+            V[rng.random((n, k)) < 0.05] = np.nan
+            V[rng.random((n, k)) < 0.05] = np.inf
+            V[rng.random((n, k)) < 0.05] = -np.inf
+            got = V.copy()
+            signs = _fix_signs(got)
             assert got.tobytes() == masked(V.copy()).tobytes()
+            assert np.array_equal(np.abs(signs), np.ones(k))
 
     def test_apply_validates_width(self):
         proj = pca(cloud(7, 30, 6), 2)
@@ -211,6 +253,24 @@ class TestRandomProjection:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         assert proj.scale == pytest.approx(math.sqrt(64 / 16), rel=1e-15)
         assert proj.method == "rp" and proj.k == 16
+        assert proj.scores is None
+        assert random_projection(data, 16, seed=0, orthonormalize=True).scores is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_norms_match_linalg_norm_bit_for_bit(self, seed):
+        # pca and random_projection take their column norms by einsum; they
+        # must be np.linalg.norm's bits, whatever the shape and layout.
+        rng = np.random.default_rng(4500 + seed)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300]
+        for _ in range(50):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+            A = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, k)
+            mask = rng.random((n, k)) < 0.02
+            A[mask] = rng.choice(special, int(mask.sum()))
+            A[:, rng.random(k) < 0.1] = 0.0
+            for B in (A, np.asfortranarray(A), A[::2], A[:, ::2], A[:, :1]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert _column_norms(B).tobytes() == np.linalg.norm(B, axis=0).tobytes()
 
     def test_seed_reproducibility(self):
         data = cloud(21, 5, 30)

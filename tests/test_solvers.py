@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,21 @@ class TestKktViolation:
         assert kkt_violation(data, beta, np.inf) == np.inf
         assert kkt_violation(data, beta, w) <= 1e-8
 
+    def test_non_finite_beta_gives_inf_without_a_warning(self):
+        # X @ beta with an infinite entry forms inf - inf in X'r; such a row
+        # must read inf before any product is taken.
+        data = sparse_problem(25, n=20, d=5)
+        beta = coord_descent_l1(data, 0.1).beta_hat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (np.inf, -np.inf, np.nan):
+                for j in (0, data.d - 1):
+                    bad = beta.copy()
+                    bad[j] = value
+                    assert kkt_violation(data, bad, 0.1) == math.inf
+                    rows = solvers._kkt_rows(data, np.stack([beta, bad]), 0.1)
+                    assert rows[0] == kkt_violation(data, beta, 0.1)
+                    assert rows[1] == math.inf
 
     def test_rows_match_single_calls_bit_for_bit(self):
         # _kkt_rows certifies a stack of rows in one pass; each entry must be
