@@ -10,7 +10,9 @@ Each PCA basis is certified orthonormal to _ORTHO_TOL = 1e-13, or
 re-orthonormalized by a Householder QR. A PCA Projection also carries the
 scores, the n x k coordinates of the centered rows it was fitted on, which
 the snapshot route reads off the n x n Gram matrix in O(n^2 k) instead of
-the O(n d k) product with the basis. Random projection draws iid normal
+the O(n d k) product with the basis. That Gram matrix squares the spread of
+the spectrum, so a direction far below the first, and its scores, are less
+accurate than an SVD would give them. Random projection draws iid normal
 columns normalized to exactly unit length; since such columns shrink distances by
 sqrt(k/d) on average, the projection is rescaled by sqrt(d/k) so squared
 distances are unbiased and the two methods are comparable on the same
@@ -37,8 +39,9 @@ class Projection:
     """basis: (d, k) columns; method: 'pca' or 'rp'; k: target dimension;
     scale: factor applied to projected coordinates (1 for pca and for
     orthonormalized rp, sqrt(d/k) for plain rp); scores: for pca, the (n, k)
-    coordinates (X - X.mean(0)) @ basis of the rows it was fitted on (see
-    pca for how each route computes them), None for rp."""
+    coordinates (X - X.mean(0)) @ basis of the rows it was fitted on, that
+    product itself when d <= n or the basis was re-orthonormalized, else read
+    off the n x n Gram matrix, to its accuracy (see pca); None for rp."""
 
     basis: np.ndarray
     method: str
