@@ -234,6 +234,12 @@ class TestPca:
             V[rng.random((n, k)) < 0.05] = np.nan
             V[rng.random((n, k)) < 0.05] = np.inf
             V[rng.random((n, k)) < 0.05] = -np.inf
+            ends = np.zeros((n, 3))
+            ends[:, 0] = np.nan
+            ends[0, 1], ends[-1, 1] = -np.inf, np.inf
+            ends[0, 2], ends[-1, 2] = np.inf, -np.inf
+            V = np.hstack([V, ends])
+            k += 3
             got = V.copy()
             signs = _fix_signs(got)
             assert got.tobytes() == masked(V.copy()).tobytes()
