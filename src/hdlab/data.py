@@ -254,18 +254,20 @@ def standardize(data):
     center the response when there is one; `transform` records both, so a raw
     row x is fitted as y_mean + ((x - x_mean) / x_sd) @ beta.
 
-    Raises DegenerateColumnError naming the first constant column. Requires
-    n >= 2.
+    Raises DegenerateColumnError naming the first column that
+    _center_columns finds constant, else the first whose sd underflows to 0
+    (a spread of a few subnormal squares). Requires n >= 2.
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
-    mu = data.X.mean(axis=0)
-    Xc = data.X - mu
-    sd = np.sqrt(np.einsum("ij,ij->j", Xc, Xc) / (data.n - 1))  # as np.std(ddof=1)
-    bad = np.flatnonzero(sd == 0.0)
-    if bad.size:
-        j = int(bad[0])
-        raise DegenerateColumnError("column %s is constant" % data.name_of(j))
+    mu, Xc, col_sq, constant = _center_columns(data.X)
+    if constant.size:
+        raise DegenerateColumnError("column %s is constant" % data.name_of(int(constant[0])))
+    sd = np.sqrt(col_sq / (data.n - 1))  # as np.std(ddof=1)
+    underflow = np.flatnonzero(sd == 0.0)
+    if underflow.size:
+        raise DegenerateColumnError("column %s has an sd that underflows to 0"
+                                    % data.name_of(int(underflow[0])))
     Xc /= sd
     y_mean = None if data.y is None else float(data.y.mean())
     yc = None if data.y is None else data.y - y_mean
@@ -300,10 +302,9 @@ def is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _centered(X, v):
-    """(Xc, vc, squared column norms of Xc, squared norm(s) of vc) for X and
-    a target v of shape (n,) or (n, m). Raises UndefinedCorrelationError for
-    a constant target, else for the first constant column of X (its `column`).
+def _center_columns(X):
+    """(column means, Xc, squared column norms of Xc, sorted indices of the
+    constant columns) for X: the data layer's one constant-column rule.
 
     Constancy is tested on the entries too: the mean of n copies of c is not
     always c (three 0.1s), which leaves a nonzero centered norm. That mean
@@ -311,19 +312,31 @@ def _centered(X, v):
     closer), so a constant column j has a centered squared norm of at most
     n^3 eps^2 x_0j^2 / 4. Only the columns whose norm is at most 16 times
     that, 4 n^3 eps^2 x_0j^2, or NaN, are compared with row 0; the others
-    cannot be constant.
+    cannot be constant. A zero norm counts as constant.
+    """
+    mu = X.mean(axis=0)
+    Xc = X - mu
+    col_sq = np.einsum("ij,ij->j", Xc, Xc)
+    with np.errstate(over="ignore"):  # x_0j^2 = inf leaves column j a candidate
+        near = np.flatnonzero(~(col_sq > (4.0 * X.shape[0] ** 3 * _EPS ** 2) * (X[0] * X[0])))
+    constant = near[(col_sq[near] == 0.0) | np.all(X[:, near] == X[0, near], axis=0)]
+    return mu, Xc, col_sq, constant
+
+
+def _centered(X, v):
+    """(Xc, vc, squared column norms of Xc, squared norm(s) of vc) for X and
+    a target v of shape (n,) or (n, m). Raises UndefinedCorrelationError for
+    a constant target, else for the first constant column of X (its
+    `column`), by _center_columns's rule.
     """
     vc = v - v.mean(axis=0)
     v_sq = vc @ vc if vc.ndim == 1 else np.einsum("ij,ij->j", vc, vc)
     if np.any((v_sq == 0.0) | np.all(v == v[0], axis=0)):
         raise UndefinedCorrelationError("target vector is constant")
-    Xc = X - X.mean(axis=0)
-    col_sq = np.einsum("ij,ij->j", Xc, Xc)
-    with np.errstate(over="ignore"):  # x_0j^2 = inf leaves column j a candidate
-        near = np.flatnonzero(~(col_sq > (4.0 * X.shape[0] ** 3 * _EPS ** 2) * (X[0] * X[0])))
-    bad = near[(col_sq[near] == 0.0) | np.all(X[:, near] == X[0, near], axis=0)]
-    if bad.size:
-        raise UndefinedCorrelationError("column %d is constant" % bad[0], column=int(bad[0]))
+    _, Xc, col_sq, constant = _center_columns(X)
+    if constant.size:
+        j = int(constant[0])
+        raise UndefinedCorrelationError("column %d is constant" % j, column=j)
     return Xc, vc, col_sq, v_sq
 
 

@@ -3,10 +3,14 @@ key=value files.
 
 Reports carry their full parameterization, so a run can be reconstructed
 from its emitted files alone. Floats are written with repr (shortest
-round-trip form), which makes re-running with the same inputs byte-identical.
-Wall-clock time lives in the metadata file only, never in table CSVs. So do
-the Python and NumPy versions, the BLAS library and the BLAS thread
-settings, on which the last bits of tables built on BLAS products depend.
+round-trip form), which makes re-running with the same inputs at the same
+BLAS thread count byte-identical. Wall-clock time lives in the metadata file
+only, never in table CSVs. So do the Python and NumPy versions, the BLAS
+library and the BLAS thread settings, on which the last bits of tables built
+on BLAS products depend: `reproduce --figure 11 --seed 0` at
+OPENBLAS_NUM_THREADS 1 and 2 differs in the last bits of 19 of its 28 cells.
+The metadata file's OPENBLAS_NUM_THREADS and OMP_NUM_THREADS lines
+record the settings; `unset` means the BLAS library chose its own count.
 
 A table is a header and equal-length columns (lists, tuples or ndarrays),
 written as csv.writer's excel dialect writes the _cell form of each value,
@@ -114,8 +118,11 @@ class ExperimentReport:
         """Write one CSV per table plus a key=value metadata file.
 
         Returns the list of paths written. Table CSVs are bit-reproducible
-        for identical inputs; the metadata file carries wall_clock and is
-        exempt from that guarantee.
+        for identical inputs at one BLAS thread count; tables built on BLAS
+        products (figures 1 and 11) can move in their last bits between
+        thread counts, which the metadata file's OPENBLAS_NUM_THREADS and
+        OMP_NUM_THREADS lines record (see the module docstring). The
+        metadata file carries wall_clock and is exempt from that guarantee.
         """
         os.makedirs(outdir, exist_ok=True)
         paths = []

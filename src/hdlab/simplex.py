@@ -3,13 +3,24 @@
 Solves   minimize c'x  subject to  A x <= b,  x >= 0,  where b >= 0, which
 makes the slack basis feasible: the method starts there, with no phase 1.
 Written for the moderate problem sizes this package produces (a few thousand
-variables at most). Both pivot choices follow Bland's smallest-index rule,
-which rules out cycling; the price is extra pivots, irrelevant at this scale:
+variables at most). The entering column follows Dantzig's rule until the
+first degenerate pivot, and Bland's smallest-index rule from then on:
 
-- entering column: the smallest index whose reduced cost is < -EPS;
+- entering column, Dantzig's rule: the most negative reduced cost, the
+  smallest index on ties, if it is < -EPS;
+- entering column, Bland's rule: the smallest index whose reduced cost is
+  < -EPS;
 - leaving row: among the rows whose entry in the entering column is > EPS,
   those whose ratio rhs / entry is within EPS of the smallest ratio tie, and
   the tied row whose basic variable has the smallest index leaves.
+
+A pivot is degenerate when its smallest ratio is within EPS of 0. Until the
+first one, every pivot lowers the objective by more than EPS^2, so no basis
+repeats; from it on, Bland's rule (Bland 1977) rules out cycling. Dantzig's
+rule alone can cycle: on Beale's LP (tests/test_simplex.py) its sixth pivot
+returns to the slack basis. Dantzig's rule comes first for speed: on the
+Dantzig selector LPs of perfbench's screen_fit workload (132 rows), Bland's
+rule alone took 45-95 pivots, and this order takes 5-10.
 
 Pivot elements smaller than EPS in magnitude are treated as zero. The row
 multipliers come back with x, so an LP with some b_i < 0 but c >= 0 can be
@@ -30,9 +41,7 @@ def _pivot(T, cost, basis, row, col):
         cost[col] = 0.0
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    nz = colvals != 0.0
-    if nz.any():
-        T[nz] -= np.outer(colvals[nz], T[row])
+    T -= np.multiply.outer(colvals, T[row])
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -71,15 +80,18 @@ def linprog_simplex(c, A, b):
     cost[:nv] = c
 
     pivots = 0
+    bland = False
     while True:
-        col = int(np.argmax(cost[:-1] < -EPS))
+        col = int(np.argmax(cost[:-1] < -EPS) if bland else np.argmin(cost[:-1]))
         if not cost[col] < -EPS:
             break
         rows = np.flatnonzero(T[:, col] > EPS)
         if not rows.size:
             raise UnboundedError("LP unbounded: column %d has no blocking row" % col)
         ratio = T[rows, -1] / T[rows, col]
-        tied = rows[ratio <= ratio.min() + EPS]
+        least = ratio.min()
+        bland = bland or least <= EPS
+        tied = rows[ratio <= least + EPS]
         _pivot(T, cost, basis, int(tied[np.argmin(basis[tied])]), col)
         pivots += 1
 

@@ -204,6 +204,24 @@ class TestStandardize:
         with pytest.raises(DegenerateColumnError, match="x2"):
             standardize(Dataset(X))
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_constant_whose_mean_rounds_away_is_named(self, n):
+        # n copies of 0.1 have a mean that is not 0.1, so centering leaves
+        # entries of about 1e-17; scaled by their sd they would read as a
+        # centered unit column, and the output would skip the standardized
+        # check as a standardize() output.
+        X = np.column_stack([np.full(n, 0.1), np.arange(n) ** 2.0])
+        assert X[:, 0].mean() != 0.1
+        with pytest.raises(DegenerateColumnError, match="x1 is constant"):
+            standardize(Dataset(X))
+
+    def test_sd_that_underflows_is_named(self):
+        # The centered squares sum to the smallest subnormal, which halves
+        # to 0: the column varies, but its sd is 0.
+        X = np.column_stack([[1.0, 2.0, 4.0], [3e-162, 0.0, 0.0]])
+        with pytest.raises(DegenerateColumnError, match="x2 has an sd that underflows"):
+            standardize(Dataset(X))
+
     def test_needs_two_rows(self):
         with pytest.raises(ValidationError):
             standardize(Dataset(np.ones((1, 2))))
@@ -333,7 +351,7 @@ class TestCorrColumns:
 class TestConstantFilter:
     """_centered compares with row 0 only the columns whose centered norm
     is small enough for a constant; it must flag exactly the columns the
-    full comparison flags."""
+    full comparison flags, and standardize must refuse each of them."""
 
     @staticmethod
     def _columns(rng, n):
@@ -372,6 +390,8 @@ class TestConstantFilter:
                     with pytest.raises(UndefinedCorrelationError) as exc:
                         _centered(col, v)
                     assert exc.value.column == 0
+                    with pytest.raises(DegenerateColumnError, match="x1 is constant"):
+                        standardize(Dataset(col))
                 else:
                     _centered(col, v)
 

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -48,6 +50,30 @@ class TestKnownInstances:
         x, obj, _, _ = linprog_simplex(np.array([-1.0, 0.0]), A, b)
         ref = scipy_solve(np.array([-1.0, 0.0]), A, b)
         assert obj == pytest.approx(ref.fun, abs=1e-9)
+
+    def test_beales_cycling_lp_terminates(self):
+        # Beale (1955): the most negative reduced cost alone, with this
+        # module's leaving row, returns to the slack basis at its sixth
+        # pivot and cycles. The switch to Bland's rule at the first
+        # degenerate pivot must end it at the optimum; the alarm turns a
+        # cycle into a failure instead of a hang.
+        c = np.array([-0.75, 20.0, -0.5, 6.0])
+        A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+
+        def cycled(signum, frame):
+            raise AssertionError("linprog_simplex did not terminate on Beale's LP")
+
+        previous = signal.signal(signal.SIGALRM, cycled)
+        signal.alarm(5)
+        try:
+            x, obj, pivots, _ = linprog_simplex(c, A, b)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.max(np.abs(x - [1.0, 0.0, 1.0, 0.0])) <= 1e-12
+        assert obj == pytest.approx(-1.25, abs=1e-12)
+        assert pivots <= 10
 
     def test_validation(self):
         with pytest.raises(ValidationError):

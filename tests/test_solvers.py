@@ -35,6 +35,7 @@ from hdlab import (
     ols_refit,
     penalized_objective,
     penalty_derivative,
+    sis_select,
     standardize,
 )
 from hdlab import kernels, solvers
@@ -773,6 +774,30 @@ class TestDantzig:
         assert hcs_membership(spec, fit.beta_hat)
         assert {0, 3} <= set(fit.active_set.tolist())
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_few_pivots_on_a_screened_wide_problem(self, seed):
+        # perfbench's screen_fit LP: n = 400, d = 5000 screened to the top
+        # 66 columns, radius sigma sqrt(2 n log 5000) with sigma = 1. Bland's
+        # entering rule alone took 48-59 pivots on these; the most negative
+        # reduced cost takes 6 or 7.
+        spec = LinearModelSpec(n=400, d=5000, noise_sd=1.0,
+                               beta={0: 3.0, 1: -2.5, 2: 2.0, 3: -1.5, 4: 1.25, 5: -1.0})
+        std = standardize(gen_linear(spec, seed))
+        data = Dataset(std.X, std.y - std.y.mean())
+        sub = Dataset(data.X[:, sis_select(data).survivors], data.y)
+        assert sub.d == 66
+        gamma = math.sqrt(2 * 400 * math.log(5000))
+        fit = dantzig_selector(HighConfidenceSetSpec(sub, gamma))
+        assert 1 <= fit.iterations <= 20
+        G = sub.X.T @ sub.X
+        g = sub.X.T @ sub.y
+        ref = linprog(np.ones(132), A_ub=np.block([[G, -G], [-G, G]]),
+                      b_ub=np.concatenate([gamma + g, gamma - g]), bounds=(0, None),
+                      method="highs")
+        assert ref.status == 0
+        assert abs(fit.objective - ref.fun) <= 1e-9 * ref.fun
+        assert {0, 1, 2, 3, 4, 5} <= set(fit.active_set.tolist())
+
     def test_default_radius(self):
         data = sparse_problem(80, n=50, d=20)
         sigma = float(np.std(data.y, ddof=1))
@@ -1292,16 +1317,17 @@ class TestCrossValidate:
             cross_validate(tiny, [0.1], folds=2, seed=0)
 
     def test_constant_training_column_is_reported(self):
-        rng = np.random.default_rng(105)
-        X = rng.standard_normal((6, 3))
-        X[:, 0] = 1.0
-        X[5, 0] = 2.0  # varies only through row 5
-        data = Dataset(X, rng.standard_normal(6))
-        for seed in range(50):
-            perm = np.random.default_rng(seed).permutation(6)
-            if 5 in np.array_split(perm, 2)[0]:
-                with pytest.raises(ConfigurationError,
-                                   match="x1 is constant within a training fold"):
-                    cross_validate(data, [0.1], folds=2, seed=seed)
-                return
-        raise AssertionError("no split isolated the varying row")
+        # With level 0.1 the fold's three 0.1s have a mean that is not 0.1,
+        # so centering alone leaves nonzero entries.
+        for level in (1.0, 0.1):
+            rng = np.random.default_rng(105)
+            X = rng.standard_normal((6, 3))
+            X[:, 0] = level
+            X[5, 0] = 2.0 * level  # varies only through row 5
+            data = Dataset(X, rng.standard_normal(6))
+            # A split whose training fold lacks row 5.
+            seed = next(s for s in range(50)
+                        if 5 in np.array_split(np.random.default_rng(s).permutation(6), 2)[0])
+            with pytest.raises(ConfigurationError,
+                               match="x1 is constant within a training fold"):
+                cross_validate(data, [0.1], folds=2, seed=seed)
