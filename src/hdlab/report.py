@@ -118,11 +118,11 @@ class ExperimentReport:
         """Write one CSV per table plus a key=value metadata file.
 
         Returns the list of paths written. Table CSVs are bit-reproducible
-        for identical inputs at one BLAS thread count; tables built on BLAS
-        products (figures 1 and 11) can move in their last bits between
-        thread counts, which the metadata file's OPENBLAS_NUM_THREADS and
-        OMP_NUM_THREADS lines record (see the module docstring). The
-        metadata file carries wall_clock and is exempt from that guarantee.
+        for identical inputs at one BLAS thread count; between thread
+        counts, tables built on BLAS products (figures 1 and 11) can move in
+        their last bits (see the module docstring). The metadata file
+        records the thread settings, carries wall_clock and is exempt from
+        that guarantee.
         """
         os.makedirs(outdir, exist_ok=True)
         paths = []
