@@ -77,8 +77,14 @@ def _solver(args):
 
     The handle serves every cross-validation fit and the final fit. For
     dantzig, lam is the constraint radius gamma_n. A penalty that cd cannot
-    minimize is rejected here, before any fit runs.
+    minimize is rejected here, before any fit runs, and so are --tol and
+    --step where the solver has no such setting.
     """
+    if args.tol is not None and args.solver in ("l0", "dantzig"):
+        raise ConfigurationError("--tol does not apply to --solver %s" % args.solver)
+    if args.step is not None and args.solver != "ista":
+        raise ConfigurationError("--step is the ista step size; do not combine it "
+                                 "with --solver %s" % args.solver)
     kw = {"tol": args.tol} if args.tol is not None else {}
     if args.solver == "cd":
         # Any lam > 0 will do: only the family is checked.
@@ -89,8 +95,7 @@ def _solver(args):
             )
         return lambda ds, lam, init: coord_descent_l1(ds, lam, **kw)
     if args.solver == "ista":
-        if args.step is not None:
-            kw["step"] = args.step
+        kw["step"] = args.step
         return lambda ds, lam, init: ista(
             ds, parse_penalty(args.penalty, lam, args.gamma), **kw)
     if args.solver == "lla":
@@ -409,11 +414,12 @@ def build_parser():
                        help="solver tolerance (solver default when omitted); with "
                             "--solver cd it applies to the final fit only, not to "
                             "--lambda-grid cross-validation, which runs the exact "
-                            "Lasso path")
+                            "Lasso path; not with --solver l0 or dantzig")
     p_fit.add_argument("--step", type=float, default=None,
                        help="ista step size, at most 1/L for the top eigenvalue L of "
                             "X'X/n (1/L when omitted); with --lambda-grid it must "
-                            "not exceed 1/L of any training fold either")
+                            "not exceed 1/L of any training fold either; only "
+                            "with --solver ista")
     p_fit.add_argument("--gamma-n", type=float, default=None,
                        help="dantzig constraint radius, the same setting as "
                             "--lambda: give one of --gamma-n, --lambda and "

@@ -8,7 +8,6 @@ null and the overid moments all use the one correlation routine of data, so
 the subset-size-1 multiple correlation equals the single-column statistic.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
 )
-from .solvers import _support_indices, _support_lstsq
+from .solvers import _subset_forms, _support_indices, _support_lstsq
 
 EXACT_SUBSET_CAP = 1_000_000
 
@@ -152,38 +151,18 @@ def _greedy_indices(centered, size):
 def _exact_best_subset_r(centered, size):
     """Exhaustive multiple correlation of subsets of C with t, given _centered(C, t)."""
     Cc, tc, _, tt = centered
-    p = Cc.shape[1]
-    count = math.comb(p, size)
+    count = math.comb(Cc.shape[1], size)
     if count > EXACT_SUBSET_CAP:
         raise SizeLimitError(
             "exact search over %d subsets exceeds the cap %d; use method='greedy'"
             % (count, EXACT_SUBSET_CAP)
         )
-    G = Cc.T @ Cc
-    g = Cc.T @ tc
-    best_r2 = -1.0
-    best = None
-    combos = itertools.combinations(range(p), size)
-    chunk = 65536
-    while True:
-        idx = np.array(list(itertools.islice(combos, chunk)), dtype=np.int64)
-        if idx.size == 0:
-            break
-        Gs = G[idx[:, :, None], idx[:, None, :]]
-        gs = g[idx]
-        try:
-            sol = np.linalg.solve(Gs, gs[:, :, None])[:, :, 0]
-            r2 = np.einsum("km,km->k", gs, sol) / tt
-        except np.linalg.LinAlgError:
-            r2 = np.empty(idx.shape[0])
-            for k in range(idx.shape[0]):
-                coef, _, _, _ = np.linalg.lstsq(Cc[:, idx[k]], tc, rcond=None)
-                fit = Cc[:, idx[k]] @ coef
-                r2[k] = float(fit @ fit) / tt
+    best_r2, best = -1.0, None
+    for idx, _, q in _subset_forms(Cc, tc, [size]):
+        r2 = q / tt
         k = int(np.argmax(r2))
         if r2[k] > best_r2:
-            best_r2 = float(r2[k])
-            best = idx[k]
+            best_r2, best = float(r2[k]), idx[k]
     r = math.sqrt(min(max(best_r2, 0.0), 1.0))
     return list(best), r
 

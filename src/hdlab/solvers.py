@@ -57,7 +57,8 @@ class FitResult:
     active_set : sorted indices of the nonzero coefficients.
     residuals : y - X beta_hat.
     objective : solver-specific objective at beta_hat (see each solver).
-    iterations : sweeps / iterations / pivots, depending on the solver.
+    iterations : sweeps / iterations / pivots, depending on the solver, or
+        for best_subset_l0 the supports scanned (2^d).
     converged : whether the stopping rule fired before the iteration cap.
     objective_trace : per-iteration objective values where the solver tracks
         them (proximal gradient and the reweighted scheme), else None.
@@ -345,12 +346,40 @@ def lla(data, penalty, init=None, tol=1e-8, max_outer=1000, inner_tol=1e-10,
     return _finish(data, beta, trace[-1], outer, converged, trace=trace)
 
 
+def _subset_forms(X, y, sizes):
+    """Quadratic forms of y on the column subsets of X, by batched solves.
+
+    Yields chunks of the subsets of each size in `sizes`, in
+    itertools.combinations order, as (supports, G_S, q): the (k, size)
+    indices, the Gram matrices X_S'X_S and q = g_S' G_S^-1 g_S for g = X'y.
+    A chunk holding a singular G_S takes q = ||X_S b||^2 by lstsq instead.
+    """
+    G, g = X.T @ X, X.T @ y
+    for size in sizes:
+        combos = itertools.combinations(range(X.shape[1]), size)
+        for _ in range(0, math.comb(X.shape[1], size), 65536):
+            idx = np.array(list(itertools.islice(combos, 65536)), dtype=np.int64)
+            Gs, gs = G[idx[:, :, None], idx[:, None, :]], g[idx]
+            try:
+                q = np.einsum("km,km->k", gs, np.linalg.solve(Gs, gs[:, :, None])[:, :, 0])
+            except np.linalg.LinAlgError:
+                q = np.empty(idx.shape[0])
+                for k, support in enumerate(idx):
+                    fit = X[:, support] @ np.linalg.lstsq(X[:, support], y, rcond=None)[0]
+                    q[k] = fit @ fit
+            yield idx, Gs, q
+
+
 def best_subset_l0(data, lam):
     """Exact L0-penalized fit by exhausting supports (d <= 15).
 
     Minimizes ||y - X b||^2/(2n) + lam * |support| with an OLS refit on each
     support; supports are scanned by size then lexicographic order, and ties
-    keep the first minimizer, so smaller supports win exact ties.
+    keep the first minimizer, so smaller supports win exact ties. Supports
+    are ranked by (y'y - q)/(2n) + lam |S| from _subset_forms; the lstsq
+    refit runs, in scan order, only on those ranked within 1e-8 y'y/(2n) of
+    the best refit objective so far, and on those whose G_S has eigenvalues
+    min <= 1e-8 max, where the ranking is not trusted.
     """
     y = data.require_y()
     if data.d > BEST_SUBSET_MAX_D:
@@ -360,27 +389,27 @@ def best_subset_l0(data, lam):
         )
     if not (np.isfinite(lam) and lam >= 0):
         raise ValidationError("lam must be finite and >= 0")
-    X = data.X
-    n = data.n
-    best_obj = float(y @ y) / (2.0 * n)
-    best_support = ()
-    best_coef = np.zeros(0)
-    count = 1
-    for size in range(1, data.d + 1):
-        for support in itertools.combinations(range(data.d), size):
-            cols = X[:, support]
-            coef, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
-            r = y - cols @ coef
-            obj = float(r @ r) / (2.0 * n) + lam * size
-            count += 1
-            if obj < best_obj:
-                best_obj = obj
-                best_support = support
-                best_coef = coef
+    X, n = data.X, data.n
+    yy = float(y @ y)
+    best_obj = yy / (2.0 * n)
+    slack = 1e-8 * best_obj
+    best_support = best_coef = np.zeros(0, dtype=np.int64)
+    for idx, Gs, q in _subset_forms(X, y, range(1, data.d + 1)):
+        size = idx.shape[1]
+        eig = np.linalg.eigvalsh(Gs)
+        untrusted = eig[:, 0] <= 1e-8 * eig[:, -1]
+        ranked = (yy - q) / (2.0 * n) + lam * size
+        for k in np.flatnonzero(untrusted | (ranked <= best_obj + slack)):
+            if untrusted[k] or ranked[k] <= best_obj + slack:
+                cols = X[:, idx[k]]
+                coef, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
+                r = y - cols @ coef
+                obj = float(r @ r) / (2.0 * n) + lam * size
+                if obj < best_obj:
+                    best_obj, best_support, best_coef = obj, idx[k], coef
     beta = np.zeros(data.d)
-    if best_support:
-        beta[list(best_support)] = best_coef
-    return _finish(data, beta, best_obj, count, True)
+    beta[best_support] = best_coef
+    return _finish(data, beta, best_obj, 2 ** data.d, True)
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,26 @@ class TestFit:
         assert code == 2
         assert "tol must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given, flag", [
+        (["--solver", "l0", "--lambda", "0.1", "--tol", "1e-6"], "--tol"),
+        (["--solver", "dantzig", "--tol", "-5"], "--tol"),
+        (["--solver", "cd", "--lambda", "0.1", "--step", "-1"], "--step"),
+        (["--solver", "lla", "--penalty", "scad:3.7", "--lambda", "0.1", "--step", "5"],
+         "--step"),
+        (["--solver", "l0", "--lambda", "0.1", "--step", "0.5"], "--step"),
+        (["--solver", "dantzig", "--step", "0.5"], "--step"),
+    ], ids=["tol-l0", "tol-dantzig", "step-cd", "step-lla", "step-l0", "step-dantzig"])
+    def test_setting_the_solver_lacks_is_invalid(self, tmp_path, csv_data, capsys,
+                                                 given, flag):
+        # Refused, not dropped: a value that reaches no solver would be
+        # absent from fit_run.txt as well.
+        path, _ = csv_data
+        out = tmp_path / "o"
+        code = main(["fit", "--data", path] + given + ["--out", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cd_rejects_nonconvex_penalty(self, tmp_path, csv_data, capsys):
         path, _ = csv_data
         code = main(["fit", "--data", path, "--penalty", "mcp:3",

@@ -108,6 +108,30 @@ class TestMaxMultipleCorr:
             want = brute_force_best_r(data.X, 2)
             assert rep.R_hat == pytest.approx(want, abs=1e-10)
 
+    def test_exact_with_a_duplicated_column(self, monkeypatch):
+        # Small integers with zero column sums: centering and X'X are exact,
+        # so every G_S that holds both copies is exactly singular and its
+        # chunk goes to the lstsq fallback.
+        raised = []
+        solve = np.linalg.solve
+
+        def spy(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for seed in range(3):
+            X = np.random.default_rng(50 + seed).integers(-3, 4, (30, 9)).astype(float)
+            X[-1] = -X[:-1].sum(axis=0)
+            X[:, 8] = X[:, 3]
+            raised.clear()
+            rep = max_multiple_corr(Dataset(X), 3, "exact")
+            assert raised
+            assert rep.R_hat == pytest.approx(brute_force_best_r(X, 3), abs=1e-10)
+
     def test_greedy_never_beats_exact(self):
         for seed in range(5):
             data = noise_design(30 + seed, 20, 8)

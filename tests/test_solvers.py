@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -597,7 +598,73 @@ class TestLla:
             lla(data, PenaltySpec("mcp", 0.1, 3.0), init=np.ones(data.d), **bad)
 
 
+def lstsq_scan(data, lam):
+    """best_subset_l0 as one lstsq per support, in scan order: the reference
+    that the ranked search must reproduce bit for bit. Returns (beta,
+    objective, iterations)."""
+    X, y, n = data.X, data.y, data.n
+    best_obj = float(y @ y) / (2.0 * n)
+    best_support, best_coef = (), np.zeros(0)
+    count = 1
+    for size in range(1, data.d + 1):
+        for support in itertools.combinations(range(data.d), size):
+            cols = X[:, support]
+            coef, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
+            r = y - cols @ coef
+            obj = float(r @ r) / (2.0 * n) + lam * size
+            count += 1
+            if obj < best_obj:
+                best_obj, best_support, best_coef = obj, support, coef
+    beta = np.zeros(data.d)
+    beta[list(best_support)] = best_coef
+    return beta, best_obj, count
+
+
+def adversarial_design(kind, seed):
+    """A design on which ranking supports by Gram solves is least reliable."""
+    rng = np.random.default_rng(seed)
+    n, d = (6, 10) if kind == "n<d" else (30, 9)
+    X = rng.standard_normal((n, d))
+    if kind == "duplicate":
+        X[:, 6] = X[:, 1]
+    elif kind == "twin-1e-9":
+        X[:, 6] = X[:, 1] + 1e-9 * rng.standard_normal(n)
+    elif kind == "triple-1e-10":
+        X[:, 7] = X[:, 0] + X[:, 3] + 1e-10 * rng.standard_normal(n)
+    y = X[:, [0, 1, 3]] @ np.array([1.5, -1.0, 0.5]) + 0.3 * rng.standard_normal(n)
+    if kind == "ten-decades":
+        X = X * 10.0 ** np.linspace(-5.0, 5.0, d)
+    return Dataset(X, y)
+
+
 class TestBestSubset:
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.05])
+    @pytest.mark.parametrize("kind", ["duplicate", "twin-1e-9", "triple-1e-10",
+                                      "ten-decades", "n<d"])
+    def test_bits_of_one_lstsq_per_support(self, kind, lam):
+        for seed in range(3):
+            data = adversarial_design(kind, 6700 + seed)
+            beta, objective, iterations = lstsq_scan(data, lam)
+            fit = best_subset_l0(data, lam)
+            assert np.array_equal(fit.beta_hat, beta)
+            assert fit.objective == objective
+            assert fit.iterations == iterations == 2 ** data.d
+
+    def test_refits_only_the_near_best_supports(self, monkeypatch):
+        # A well-conditioned d = 15 design: one lstsq per support would make
+        # 32,767 calls.
+        rng = np.random.default_rng(68)
+        X = rng.standard_normal((60, 15))
+        data = Dataset(X, X[:, :3] @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(60))
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        for lam in (0.0, 0.01):
+            calls.clear()
+            assert best_subset_l0(data, lam).iterations == 2 ** 15
+            assert 0 < len(calls) <= 0.01 * 2 ** 15
+
     def test_zero_penalty_matches_full_ols_loss(self):
         data = sparse_problem(60, n=40, d=6)
         fit = best_subset_l0(data, 0.0)
