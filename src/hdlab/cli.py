@@ -7,12 +7,11 @@ Subcommands:
   reduce     pca / random-projection dimension reduction of a CSV dataset
   reproduce  canned experiments by id (1, 2, 4, 11, endo)
 
-Every command writes CSV artifacts into --out. reproduce and diagnose run
-an experiment from experiments.py, write its report and draw the figures the
-report carries; reproduce passes an experiment only the settings given by a
-flag or a config key, and one it does not take is invalid input. Exit
-status: 0 on success, 2 on invalid input or solver failure, 3 when a
-reproduce or diagnose run fails one of its built-in sanity checks.
+Every command writes CSV artifacts into --out. reproduce and diagnose pass
+an experiment from experiments.py the settings given by flags and config
+keys (one it does not take is invalid input), then write its report and
+draw its figures. Exit status: 0 on success, 2 on invalid input or solver
+failure, 3 when a reproduce or diagnose run fails a built-in sanity check.
 """
 
 import argparse
@@ -199,23 +198,23 @@ def cmd_screen(args):
 
 
 def cmd_diagnose(args):
-    """Run the experiment that KIND names, then finish as reproduce does."""
-    kw = {"seed": args.seed, "n": args.n}
-    if args.kind == "spurious":
-        experiment = spurious_correlation_experiment
-        kw.update(d_list=args.d, reps=args.reps, subset_size=args.subset_size,
-                  method=args.method)
-    elif args.kind == "variance":
-        experiment = variance_experiment
-        kw.update(d=args.d_single, reps=args.reps, support_size=args.support_size,
-                  noise_sd=args.noise_sd)
-    else:  # endogeneity, and overid: the same run with quadratic coupling
-        experiment = endogeneity_experiment
-        kw.update(d=args.d_single, coupled_count=args.coupled_count,
-                  coupling=args.coupling, noise_sd=args.noise_sd,
-                  mode="quadratic" if args.kind == "overid" else args.mode,
-                  permutations=args.permutations)
-    return _finish(experiment(**kw), args.out)
+    """Run KIND's experiment on the flags given, laid over the kind's defaults
+    that differ from the experiment's own; overid is the quadratic mode."""
+    # Looked up per call, so a replaced cli.endogeneity_experiment (say) is the one used.
+    experiment, settings = {
+        "spurious": (spurious_correlation_experiment, {}),
+        "variance": (variance_experiment, {"reps": 200}),
+        "endogeneity": (endogeneity_experiment, {"n": 60, "d": 800}),
+        "overid": (endogeneity_experiment, {"n": 60, "d": 800, "mode": "quadratic"}),
+    }[args.kind]
+    if args.kind == "overid" and args.mode is not None:
+        raise ConfigurationError("diagnose overid runs mode=quadratic; drop --mode")
+    flags = {}
+    for dest, value in vars(args).items():
+        if value is not None and dest not in ("command", "func", "kind", "out"):
+            key = {"d": "d_list", "d_single": "d"}.get(dest, dest)
+            settings[key], flags[key] = value, "--" + dest.replace("_", "-")
+    return _run(experiment, settings, args.out, "diagnose " + args.kind, flags)
 
 
 def cmd_reduce(args):
@@ -275,13 +274,6 @@ def read_config(path):
     return out
 
 
-def _first(*vals):
-    for v in vals:
-        if v is not None:
-            return v
-    return None
-
-
 _FIGURES = {
     "1": noise_accumulation_experiment,
     "2": spurious_correlation_experiment,
@@ -332,14 +324,6 @@ def _sanity(rep):
     return problems
 
 
-def _draw(rep, outdir):
-    """Write the report's figures next to its tables."""
-    # Looked up per call, so a replaced cli.histogram_svg (say) is the one used.
-    plot = {"histogram": histogram_svg, "line": line_chart_svg, "scatter": scatter_svg}
-    for kind, filename, data, labels in rep.figures:
-        plot[kind](data, os.path.join(outdir, filename), **labels)
-
-
 def _finish(rep, outdir):
     """Write the report, draw its SVGs and run its sanity checks.
 
@@ -347,7 +331,10 @@ def _finish(rep, outdir):
     """
     for p in rep.write(outdir):
         print("wrote %s" % p)
-    _draw(rep, outdir)
+    # Looked up per call, so a replaced cli.histogram_svg (say) is the one used.
+    plot = {"histogram": histogram_svg, "line": line_chart_svg, "scatter": scatter_svg}
+    for kind, filename, data, labels in rep.figures:
+        plot[kind](data, os.path.join(outdir, filename), **labels)
     problems = _sanity(rep)
     if problems:
         for p in problems:
@@ -358,31 +345,38 @@ def _finish(rep, outdir):
     return 0
 
 
+def _run(experiment, settings, out, what, flags):
+    """Run the experiment on the settings, then finish. A setting it does not
+    take is invalid input, named by its flag in `flags` or else by its key;
+    bound, not looked up by name, so a wrapped experiment taking **kwargs runs."""
+    signature = inspect.signature(experiment)
+    try:
+        signature.bind(**settings)
+    except TypeError:
+        raise ConfigurationError("%s does not take %s" % (what, ", ".join(
+            flags.get(k, k) for k in settings if k not in signature.parameters))) from None
+    return _finish(experiment(**settings), out)
+
+
 def cmd_reproduce(args):
     kwargs = read_config(args.config) if args.config else {}
-    figure = _first(args.figure, kwargs.pop("figure", None))
+    # A flag wins over its config key.
+    kwargs.update((k, v) for k, v in vars(args).items()
+                  if v is not None and k in ("figure", "seed", "paper_scale", "out"))
+    figure = kwargs.pop("figure", None)
     if figure is None:
         raise ConfigurationError("pass --figure or put figure=... in the config file")
     figure = str(figure)
     if figure not in _FIGURES:
         raise ConfigurationError("unknown figure %r (choose 1|2|4|11|endo)" % figure)
-    out = _first(args.out, kwargs.pop("out", None), "reports")
-    # A flag wins over its config key; an experiment that does not take the
-    # setting fails the bind below, so nothing the user gave is dropped.
-    for key, flag in (("seed", args.seed), ("paper_scale", args.paper_scale)):
-        if flag is not None:
-            kwargs[key] = flag
+    out = str(kwargs.pop("out", "reports"))  # out=2024 reads as an int
     seed = kwargs.get("seed", 0)
     if not is_int(seed):
         raise ConfigurationError("seed must be an integer, got %r" % (seed,))
     for key in ("m_list", "d_list", "k_list"):
         if key in kwargs and not isinstance(kwargs[key], tuple):
             kwargs[key] = (kwargs[key],)
-    try:  # bind, not a name lookup: a wrapped entry taking **kwargs still runs
-        inspect.signature(_FIGURES[figure]).bind(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError("figure %s: %s" % (figure, exc)) from None
-    return _finish(_FIGURES[figure](**kwargs), out)
+    return _run(_FIGURES[figure], kwargs, out, "figure " + figure, {})
 
 
 def build_parser():
@@ -446,21 +440,26 @@ def build_parser():
 
     p_dia = sub.add_parser("diagnose", help="run a diagnostic experiment")
     p_dia.add_argument("kind", choices=["spurious", "variance", "endogeneity", "overid"])
-    p_dia.add_argument("--n", type=int, default=60)
+    p_dia.add_argument("--n", type=int,
+                       help="sample size (default 60, for endogeneity and overid too, "
+                            "where the experiment's own is 200)")
     p_dia.add_argument("--d", type=lambda s: [int(v) for v in s.split(",")],
-                       default=[800, 6400], help="comma-separated widths (spurious)")
-    p_dia.add_argument("--d-single", type=int, default=800,
-                       help="width for variance/endogeneity/overid")
-    p_dia.add_argument("--reps", type=int, default=200)
-    p_dia.add_argument("--subset-size", type=int, default=4)
-    p_dia.add_argument("--support-size", type=int, default=4)
-    p_dia.add_argument("--method", default="greedy", choices=["greedy", "exact"])
-    p_dia.add_argument("--noise-sd", type=float, default=1.0)
-    p_dia.add_argument("--coupled-count", type=int, default=30)
-    p_dia.add_argument("--coupling", type=float, default=0.8)
-    p_dia.add_argument("--mode", default="direct", choices=["direct", "quadratic"])
-    p_dia.add_argument("--permutations", type=int, default=100)
-    p_dia.add_argument("--seed", type=int, default=0)
+                       help="comma-separated widths (spurious)")
+    p_dia.add_argument("--d-single", type=int,
+                       help="width for variance/endogeneity/overid (default 800, for "
+                            "endogeneity and overid too, where the experiment's own is 200)")
+    p_dia.add_argument("--reps", type=int,
+                       help="replicates (default 200, for variance too, where the "
+                            "experiment's own is 500)")
+    p_dia.add_argument("--subset-size", type=int)
+    p_dia.add_argument("--support-size", type=int)
+    p_dia.add_argument("--method", choices=["greedy", "exact"])
+    p_dia.add_argument("--noise-sd", type=float)
+    p_dia.add_argument("--coupled-count", type=int)
+    p_dia.add_argument("--coupling", type=float)
+    p_dia.add_argument("--mode", choices=["direct", "quadratic"])
+    p_dia.add_argument("--permutations", type=int)
+    p_dia.add_argument("--seed", type=int)
     p_dia.add_argument("--out", default="hdlab_out")
     p_dia.set_defaults(func=cmd_diagnose)
 

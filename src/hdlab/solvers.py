@@ -352,22 +352,33 @@ def _subset_forms(X, y, sizes):
     Yields chunks of the subsets of each size in `sizes`, in
     itertools.combinations order, as (supports, G_S, q): the (k, size)
     indices, the Gram matrices X_S'X_S and q = g_S' G_S^-1 g_S for g = X'y.
-    A chunk holding a singular G_S takes q = ||X_S b||^2 by lstsq instead.
     """
     G, g = X.T @ X, X.T @ y
     for size in sizes:
         combos = itertools.combinations(range(X.shape[1]), size)
         for _ in range(0, math.comb(X.shape[1], size), 65536):
             idx = np.array(list(itertools.islice(combos, 65536)), dtype=np.int64)
-            Gs, gs = G[idx[:, :, None], idx[:, None, :]], g[idx]
-            try:
-                q = np.einsum("km,km->k", gs, np.linalg.solve(Gs, gs[:, :, None])[:, :, 0])
-            except np.linalg.LinAlgError:
-                q = np.empty(idx.shape[0])
-                for k, support in enumerate(idx):
-                    fit = X[:, support] @ np.linalg.lstsq(X[:, support], y, rcond=None)[0]
-                    q[k] = fit @ fit
-            yield idx, Gs, q
+            Gs = G[idx[:, :, None], idx[:, None, :]]
+            yield idx, Gs, _quadratic_forms(X, y, idx, Gs, g[idx])
+
+
+def _quadratic_forms(X, y, idx, Gs, gs):
+    """q = g_S' G_S^-1 g_S for each support of the batch, by one batched solve.
+
+    When some G_S is singular the solve fails for the whole batch, so its
+    halves are solved again; a support whose own G_S is singular takes
+    q = ||X_S b||^2 by lstsq. The batched solve factors each G_S on its own,
+    so a support keeps its bits in whichever batch it is solved.
+    """
+    try:
+        return np.einsum("km,km->k", gs, np.linalg.solve(Gs, gs[:, :, None])[:, :, 0])
+    except np.linalg.LinAlgError:
+        if idx.shape[0] == 1:
+            fit = X[:, idx[0]] @ np.linalg.lstsq(X[:, idx[0]], y, rcond=None)[0]
+            return np.array([fit @ fit])
+        h = idx.shape[0] // 2
+        return np.concatenate([_quadratic_forms(X, y, idx[:h], Gs[:h], gs[:h]),
+                               _quadratic_forms(X, y, idx[h:], Gs[h:], gs[h:])])
 
 
 def best_subset_l0(data, lam):

@@ -1,9 +1,11 @@
 import csv
+import inspect
 import os
 import platform
 import shlex
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -511,6 +513,54 @@ class TestDiagnose:
         assert kv["mode"] == "quadratic"
         assert os.path.exists(os.path.join(out, "overid_moments.svg"))
 
+    @pytest.mark.parametrize("argv", [
+        ["variance", "--permutations", "7"],
+        ["variance", "--method", "exact"],
+        ["spurious", "--d-single", "5"],
+        ["spurious", "--noise-sd", "2"],
+        ["endogeneity", "--reps", "3"],
+        ["endogeneity", "--d", "5,8"],
+        ["overid", "--mode", "direct"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_a_flag_the_kind_does_not_take_is_invalid(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(["diagnose"] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[1] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, name, want", [
+        ("spurious", "spurious_correlation_experiment",
+         dict(seed=0, n=60, d_list=(800, 6400), reps=200, subset_size=4,
+              method="greedy", paper_scale=False)),
+        ("variance", "variance_experiment",
+         dict(seed=0, n=60, d=800, reps=200, support_size=4, noise_sd=1.0)),
+        ("endogeneity", "endogeneity_experiment",
+         dict(seed=0, n=60, d=800, support_size=3, support_strength=2.0,
+              coupled_count=30, coupling=0.8, mode="direct", noise_sd=1.0,
+              permutations=100, folds=5, grid_size=20)),
+        ("overid", "endogeneity_experiment",
+         dict(seed=0, n=60, d=800, support_size=3, support_strength=2.0,
+              coupled_count=30, coupling=0.8, mode="quadratic", noise_sd=1.0,
+              permutations=100, folds=5, grid_size=20)),
+    ])
+    def test_each_kind_runs_its_experiment_at_the_diagnose_defaults(
+            self, tmp_path, monkeypatch, kind, name, want):
+        # The diagnose defaults that differ from the experiment's own: n and
+        # d for endogeneity and overid, reps for variance.
+        real, seen = getattr(cli, name), []
+
+        def spy(**kw):
+            bound = inspect.signature(real).bind(**kw)
+            bound.apply_defaults()
+            seen.append(dict(bound.arguments))
+            return cli.penalty_curves(points=5)  # a small report to finish
+
+        monkeypatch.setattr(cli, name, spy)
+        assert main(["diagnose", kind, "--out", str(tmp_path / "o")]) == 0
+        got = {k: tuple(v) if isinstance(v, list) else v for k, v in seen[0].items()}
+        assert got == want
+
     def test_bad_config(self, tmp_path):
         code = main(["diagnose", "spurious", "--n", "2", "--out",
                      str(tmp_path / "o")])
@@ -725,6 +775,12 @@ class TestReproduce:
         assert err.startswith("error: ") and names in err
         assert not out.exists()
 
+    def test_numeric_out_key_is_a_directory_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("figure=4\nout=2024\n")
+        assert main(["reproduce", "--config", "run.cfg"]) == 0
+        assert (tmp_path / "2024" / "penalty_curves.svg").exists()
+
     def test_paper_scale_runs_a_thousand_replicates(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("figure=2\nn=8\nd_list=3\nsubset_size=1\n")
@@ -754,6 +810,20 @@ class TestConfigParsing:
         from hdlab import ConfigurationError
         with pytest.raises(ConfigurationError):
             read_config(str(cfg))
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    # pyproject.toml lists numpy as the only dependency; SciPy is for tests.
+    code = ("import sys; sys.modules['scipy'] = None; from hdlab.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for argv in (["reproduce", "--figure", "4"],
+                 ["diagnose", "spurious", "--n", "12", "--d", "5,8", "--reps", "3",
+                  "--subset-size", "2"]):
+        proc = subprocess.run([sys.executable, "-c", code] + argv
+                              + ["--out", str(tmp_path / argv[0])],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("hdlab") is None,

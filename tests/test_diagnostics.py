@@ -32,6 +32,7 @@ from hdlab.data import _centered, _corr_columns
 import hdlab.diagnostics as diagnostics
 from hdlab.diagnostics import _COLLINEAR_EPS, _greedy_indices, _leave_one_out_ks
 from hdlab.experiments import spurious_correlation_experiment
+from hdlab.solvers import _quadratic_forms
 
 
 def noise_design(seed, n, d):
@@ -108,10 +109,27 @@ class TestMaxMultipleCorr:
             want = brute_force_best_r(data.X, 2)
             assert rep.R_hat == pytest.approx(want, abs=1e-10)
 
+    @staticmethod
+    def duplicated_design(seed, n, d):
+        """Small integers with zero column sums, the last column a copy of
+        column 3: centering and X'X are exact, so exactly the d - 3 subsets
+        of size 3 of columns 1..d-1 that hold both copies have a singular G_S."""
+        X = np.random.default_rng(seed).integers(-3, 4, (n, d)).astype(float)
+        X[-1] = -X[:-1].sum(axis=0)
+        X[:, d - 1] = X[:, 3]
+        return X
+
+    @staticmethod
+    def spy_lstsq(monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        return calls
+
     def test_exact_with_a_duplicated_column(self, monkeypatch):
-        # Small integers with zero column sums: centering and X'X are exact,
-        # so every G_S that holds both copies is exactly singular and its
-        # chunk goes to the lstsq fallback.
+        # Only the singular supports go to the lstsq fallback, not the rest
+        # of their chunk.
         raised = []
         solve = np.linalg.solve
 
@@ -123,14 +141,39 @@ class TestMaxMultipleCorr:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", spy)
+        calls = self.spy_lstsq(monkeypatch)
         for seed in range(3):
-            X = np.random.default_rng(50 + seed).integers(-3, 4, (30, 9)).astype(float)
-            X[-1] = -X[:-1].sum(axis=0)
-            X[:, 8] = X[:, 3]
+            X = self.duplicated_design(50 + seed, 30, 9)
             raised.clear()
+            calls.clear()
             rep = max_multiple_corr(Dataset(X), 3, "exact")
-            assert raised
+            assert raised and 0 < len(calls) <= 6
             assert rep.R_hat == pytest.approx(brute_force_best_r(X, 3), abs=1e-10)
+
+    def test_only_the_singular_supports_go_to_lstsq(self, monkeypatch):
+        # 98 singular supports among 166,650, in chunks of up to 65,536.
+        X = self.duplicated_design(5, 60, 101)
+        calls = self.spy_lstsq(monkeypatch)
+        max_multiple_corr(Dataset(X), 3, "exact")
+        assert 0 < len(calls) <= 98
+
+    def test_a_support_keeps_its_bits_in_any_batch(self):
+        # The singular-batch fallback solves halves again, so a support's q
+        # must not depend on the batch it is solved in.
+        rng = np.random.default_rng(6)
+        X, y = rng.standard_normal((30, 14)), rng.standard_normal(30)
+        G, g = X.T @ X, X.T @ y
+        idx = np.array(list(itertools.combinations(range(14), 3)), dtype=np.int64)
+
+        def forms(rows):
+            sub = idx[rows]
+            return _quadratic_forms(X, y, sub, G[sub[:, :, None], sub[:, None, :]], g[sub])
+
+        whole = forms(slice(None))
+        h = idx.shape[0] // 2
+        assert np.array_equal(whole, np.concatenate([forms(slice(None, h)),
+                                                     forms(slice(h, None))]))
+        assert np.array_equal(whole[7:8], forms(slice(7, 8)))
 
     def test_greedy_never_beats_exact(self):
         for seed in range(5):
@@ -431,7 +474,9 @@ class TestKsDistance:
     def test_ties_handled_like_reference(self):
         a = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
         b = np.array([0.0, 1.0, 1.0, 2.0, 2.0])
-        want = float(ks_2samp(a, b).statistic)
+        # The statistic does not depend on the method of the p-value, which
+        # is not read; the exact one warns on these ties.
+        want = float(ks_2samp(a, b, method="asymp").statistic)
         assert ks_distance(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_empty_rejected(self):
